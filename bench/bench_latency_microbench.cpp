@@ -6,12 +6,20 @@
 // Before the google-benchmark suite runs, main() measures the parallel
 // runtime directly — matmul GFLOP/s and corrector samples/sec at thread
 // counts {1, 2, max}, plus the seed's sequential single-example corrector
-// loop as the speedup baseline — and writes BENCH_runtime.json.
+// loop as the speedup baseline — and writes BENCH_runtime.json. Its first
+// row, `pool_dispatch`, is the handoff cost runtime::kMinChunkWork is sized
+// against.
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "attacks/gradient.hpp"
 #include "common.hpp"
@@ -123,6 +131,82 @@ double timed(F&& f) {
     if (rep == 0 || s < best) best = s;
   }
   return best;
+}
+
+/// CPU seconds of the whole process: the caller and every pool worker.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// First quartile, median and third quartile of `v` (nearest rank).
+std::array<double, 3> quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                      0.5)];
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// The cost of handing work to the pool: one empty-bodied 4-chunk
+/// parallel_for at 4 threads against the same call run inline, per call.
+/// A short sleep follows every call so the workers are asleep when the next
+/// one dispatches, as they are between requests at serving rates. CPU counts
+/// every thread of the process, so it includes the woken workers; the sleep
+/// costs both modes the same. Repetitions give the spread.
+eval::JsonObject measure_pool_dispatch() {
+  constexpr std::size_t kThreads = 4, kChunks = 4, kReps = 9, kCalls = 200;
+  runtime::set_thread_count(kThreads);
+  eval::JsonObject row;
+  row.set("threads", kThreads)
+      .set("chunks", kChunks)
+      .set("reps", kReps)
+      .set("calls_per_rep", kCalls)
+      .set("min_chunk_work", runtime::kMinChunkWork);
+  // kMinChunkWork per index puts every index in its own chunk; one unit per
+  // index keeps the whole range under kMinChunkWork, so it runs inline.
+  for (const auto& [mode, work] :
+       {std::pair<const char*, std::size_t>{"pool", runtime::kMinChunkWork},
+        std::pair<const char*, std::size_t>{"inline", 1}}) {
+    std::vector<double> cpu_us, wall_us;
+    const std::uint64_t d0 = runtime::pool_stats().parallel_fors;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      double wall_s = 0.0;
+      const double cpu0 = process_cpu_s();
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        eval::Timer t;
+        runtime::parallel_for(0, kChunks, work,
+                              [](std::size_t, std::size_t) {});
+        wall_s += t.seconds();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      cpu_us.push_back((process_cpu_s() - cpu0) * 1e6 / kCalls);
+      wall_us.push_back(wall_s * 1e6 / kCalls);
+    }
+    const std::uint64_t dispatched = runtime::pool_stats().parallel_fors - d0;
+    const auto cpu = quartiles(cpu_us);
+    const auto wall = quartiles(wall_us);
+    const std::string m(mode);
+    row.set(m + "_cpu_us", cpu[1])
+        .set(m + "_cpu_us_q1", cpu[0])
+        .set(m + "_cpu_us_q3", cpu[2])
+        .set(m + "_wall_us", wall[1])
+        .set(m + "_wall_us_q1", wall[0])
+        .set(m + "_wall_us_q3", wall[2])
+        .set(m + "_dispatches", static_cast<std::size_t>(dispatched));
+    std::printf(
+        "[runtime] pool_dispatch %-6s t=%zu chunks=%zu: cpu %.2f us "
+        "[q1 %.2f, q3 %.2f]  wall %.2f us [q1 %.2f, q3 %.2f]  "
+        "(%zu reps x %zu calls, %llu dispatched)\n",
+        mode, kThreads, kChunks, cpu[1], cpu[0], cpu[2], wall[1], wall[0],
+        wall[2], kReps, kCalls, static_cast<unsigned long long>(dispatched));
+  }
+  std::printf("[runtime] kMinChunkWork = %zu work units\n",
+              runtime::kMinChunkWork);
+  return row;
 }
 
 // Frozen copies of the seed's kernels (pre-runtime rewrite). The live code
@@ -280,6 +364,8 @@ void write_runtime_json() {
       .set("simd_dispatch", std::string(simd::active_path_name()))
       .set("simd_avx2_compiled", simd::avx2_compiled())
       .set("simd_avx2_cpu", simd::avx2_runtime_supported());
+
+  json.set("pool_dispatch", measure_pool_dispatch());
 
   // Matmul GFLOP/s: a square GEMM large enough to dwarf dispatch overhead,
   // measured per dispatch path so the microkernel win is a number in the

@@ -41,7 +41,9 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
   // Batch images are independent and each writes its own output row and its
   // own cache slot, so the batch loop parallelizes cleanly; the kernels
   // inside run inline on the workers.
-  runtime::parallel_for(0, n, 1, [&](std::size_t b0, std::size_t b1) {
+  const std::size_t image_work = forward_work(
+      Shape{1, spec_.in_channels, spec_.in_height, spec_.in_width});
+  runtime::parallel_for(0, n, image_work, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       Tensor cols = conv::im2col(input.row(b), spec_);  // [oh*ow, patch]
       Tensor prod = ops::matmul_a_bt(cols, weights_);   // [oh*ow, out_c]
@@ -96,6 +98,13 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
 std::vector<Param> Conv2D::params() {
   return {{&weights_, &grad_weights_, "weights"},
           {&bias_, &grad_bias_, "bias"}};
+}
+
+std::size_t Conv2D::forward_work(const Shape& input_shape) const {
+  // Per image: the im2col gather, the GEMM and the bias pass.
+  const std::size_t patch = weights_.dim(1);
+  return input_shape.dim(0) * spec_.out_height() * spec_.out_width() *
+         (patch * (2 * out_channels_ + 1) + out_channels_);
 }
 
 Shape Conv2D::output_shape(const Shape& input_shape) const {

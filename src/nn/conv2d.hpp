@@ -17,6 +17,8 @@ class Conv2D final : public Layer {
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
+  [[nodiscard]] std::size_t forward_work(
+      const Shape& input_shape) const override;
 
   [[nodiscard]] const conv::Conv2DSpec& spec() const { return spec_; }
   [[nodiscard]] std::size_t out_channels() const { return out_channels_; }

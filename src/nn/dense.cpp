@@ -67,4 +67,9 @@ Shape Dense::output_shape(const Shape& input_shape) const {
   return Shape{input_shape.dim(0), out_features_};
 }
 
+std::size_t Dense::forward_work(const Shape& input_shape) const {
+  // GEMM plus the bias pass, per row.
+  return input_shape.dim(0) * (2 * in_features_ + 1) * out_features_;
+}
+
 }  // namespace dcn::nn

@@ -15,6 +15,8 @@ class Dense final : public Layer {
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Dense"; }
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
+  [[nodiscard]] std::size_t forward_work(
+      const Shape& input_shape) const override;
 
   [[nodiscard]] std::size_t in_features() const { return in_features_; }
   [[nodiscard]] std::size_t out_features() const { return out_features_; }

@@ -45,6 +45,15 @@ class Layer {
   /// the caller's concern; shapes here include the batch axis).
   [[nodiscard]] virtual Shape output_shape(const Shape& input_shape) const = 0;
 
+  /// Cost of an inference forward over `input_shape`, in the runtime's work
+  /// units (one FLOP or one float moved; see runtime::kMinChunkWork). Read
+  /// from shapes only, never timed. The default counts the floats read and
+  /// written; layers built on a GEMM count its FLOPs.
+  [[nodiscard]] virtual std::size_t forward_work(
+      const Shape& input_shape) const {
+    return input_shape.numel() + output_shape(input_shape).numel();
+  }
+
   Layer() = default;
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;

@@ -30,7 +30,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool train) {
     const float* src = input.data().data();
     float* dst = out.data().data();
     const std::size_t h = input.dim(2), w = input.dim(3);
-    runtime::parallel_for(0, n * c, 8, [&](std::size_t lo, std::size_t hi) {
+    runtime::parallel_for(0, n * c, h * w, [&](std::size_t lo,
+                                               std::size_t hi) {
       for (std::size_t pc = lo; pc < hi; ++pc) {
         const float* plane = src + pc * h * w;
         float* oplane = dst + pc * oh * ow;

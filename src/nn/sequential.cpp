@@ -85,6 +85,16 @@ Shape Sequential::output_shape(const Shape& input_shape) const {
   return s;
 }
 
+std::size_t Sequential::forward_work(const Shape& input_shape) const {
+  std::size_t work = 0;
+  Shape s = input_shape;
+  for (const auto& layer : layers_) {
+    work += layer->forward_work(s);
+    s = layer->output_shape(s);
+  }
+  return work;
+}
+
 Tensor Sequential::logits_batch(const Tensor& batch) {
   if (batch.rank() < 2 || batch.dim(0) == 0) {
     throw std::invalid_argument("Sequential::logits_batch: expected a "
@@ -92,41 +102,40 @@ Tensor Sequential::logits_batch(const Tensor& batch) {
                                 batch.shape().to_string());
   }
   const std::size_t n = batch.dim(0);
-  const std::size_t conc = runtime::pool().concurrency();
-  // One sub-batch per available thread; a single-threaded pool (or a batch
-  // of one) takes the whole batch through one forward pass.
-  const std::size_t grain = std::max<std::size_t>(1, (n + conc - 1) / conc);
-  if (grain >= n) {
-    Tensor out = forward(batch, /*train=*/false);
-    if (out.rank() != 2 || out.dim(0) != n) {
-      throw std::logic_error(
-          "Sequential::logits_batch: model output is not [N, k]");
-    }
-    return out;
+  std::vector<std::size_t> row_dims = batch.shape().dims();
+  row_dims[0] = 1;
+  const std::size_t row_work = forward_work(Shape(row_dims));
+  const Shape out_shape = output_shape(batch.shape());
+  if (out_shape.rank() != 2) {
+    throw std::logic_error(
+        "Sequential::logits_batch: model output is not [N, k]");
   }
   const std::size_t row_elems = batch.size() / n;
-  const std::size_t nchunks = (n + grain - 1) / grain;
-  std::vector<Tensor> parts(nchunks);
-  runtime::parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::size_t> dims = batch.shape().dims();
-    dims[0] = hi - lo;
-    Tensor sub{Shape(dims)};
-    std::copy(batch.data().begin() + static_cast<std::ptrdiff_t>(lo * row_elems),
-              batch.data().begin() + static_cast<std::ptrdiff_t>(hi * row_elems),
-              sub.data().begin());
-    Tensor out = forward(sub, /*train=*/false);
-    if (out.rank() != 2 || out.dim(0) != hi - lo) {
+  const std::size_t k = out_shape.dim(1);
+  Tensor out(out_shape);
+  // Each sub-batch writes its own rows of `out`, at an offset taken from
+  // `lo`, so the split needs no knowledge of how the pool cut the range.
+  runtime::parallel_for(0, n, row_work, [&](std::size_t lo, std::size_t hi) {
+    Tensor part;
+    if (hi - lo == n) {
+      part = forward(batch, /*train=*/false);
+    } else {
+      std::vector<std::size_t> dims = row_dims;
+      dims[0] = hi - lo;
+      Tensor sub{Shape(dims)};
+      std::copy(
+          batch.data().begin() + static_cast<std::ptrdiff_t>(lo * row_elems),
+          batch.data().begin() + static_cast<std::ptrdiff_t>(hi * row_elems),
+          sub.data().begin());
+      part = forward(sub, /*train=*/false);
+    }
+    if (part.shape() != Shape{hi - lo, k}) {
       throw std::logic_error(
           "Sequential::logits_batch: model output is not [N, k]");
     }
-    parts[lo / grain] = std::move(out);
+    std::copy(part.data().begin(), part.data().end(),
+              out.data().begin() + static_cast<std::ptrdiff_t>(lo * k));
   });
-  const std::size_t k = parts[0].dim(1);
-  Tensor out(Shape{n, k});
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    std::copy(parts[c].data().begin(), parts[c].data().end(),
-              out.data().begin() + static_cast<std::ptrdiff_t>(c * grain * k));
-  }
   return out;
 }
 

@@ -51,6 +51,9 @@ class Sequential {
   /// from layer metadata without running a forward pass.
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const;
 
+  /// Summed Layer::forward_work of an inference forward over `input_shape`.
+  [[nodiscard]] std::size_t forward_work(const Shape& input_shape) const;
+
   // ---- Single-example inference helpers ------------------------------------
   /// Logits for one example (input without the batch axis).
   Tensor logits(const Tensor& example);
@@ -65,8 +68,10 @@ class Sequential {
   // Inference-mode layers are pure with respect to layer state (no caching,
   // no running-stat updates), so the batch is partitioned into contiguous
   // sub-batches that flow through the network concurrently on the runtime
-  // thread pool. Per-example results are independent of the partition, so
-  // output is identical at any DCN_THREADS value.
+  // thread pool, sized by each row's forward_work; a batch whose forward is
+  // too small to pay for a handoff runs as one pass on the caller.
+  // Per-example results are independent of the partition, so output is
+  // identical at any DCN_THREADS value.
 
   /// Logits for a [N, d...] batch -> [N, k]. N must be > 0.
   Tensor logits_batch(const Tensor& batch);

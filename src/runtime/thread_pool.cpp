@@ -1,5 +1,11 @@
 #include "runtime/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -15,6 +21,36 @@ namespace {
 // otherwise deadlock: every worker waiting on chunks only workers can run).
 thread_local bool tls_in_worker = false;
 
+// Pin worker i to the (i+1)-th CPU the process may run on (wrapping), so
+// the workers never share a CPU with each other and the first CPU stays
+// free for the threads that call parallel_for. Without pins, a host that
+// does not rebalance threads across CPUs (a cpuset with sched_load_balance
+// off) leaves a rarely woken worker wherever its last wake-up put it, often
+// the caller's CPU. On such a 4-vCPU VM, once loops below kMinChunkWork
+// stopped waking the workers, servebench's traced replay after benign
+// traffic found all three workers on the caller's CPU and the 256^3 GEMM
+// at 16-25 GFLOP/s instead of 55-60.
+void pin_workers(std::vector<std::thread>& workers) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  if (cpus.size() < 2) return;
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[(i + 1) % cpus.size()], &one);
+    pthread_setaffinity_np(workers[i].native_handle(), sizeof(one), &one);
+  }
+#else
+  (void)workers;
+#endif
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -25,6 +61,7 @@ ThreadPool::ThreadPool(std::size_t threads)
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
+  pin_workers(workers_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -81,11 +118,16 @@ PoolStatsSnapshot ThreadPool::stats() const {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
+    std::size_t begin, std::size_t end, std::size_t work_per_index,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
-  if (grain == 0) grain = 1;
   const std::size_t count = end - begin;
+  // Enough indices per chunk to carry kMinChunkWork, and no more than two
+  // chunks per thread: extra chunks on a large range only add claims.
+  const std::size_t work = std::max<std::size_t>(1, work_per_index);
+  const std::size_t grain =
+      std::max((kMinChunkWork + work - 1) / work,
+               (count + 2 * concurrency() - 1) / (2 * concurrency()));
   const std::size_t nchunks = (count + grain - 1) / grain;
   // Serial fast path: no workers, a single chunk, or a nested call from
   // inside a worker (parallelism stays at the outermost loop).
@@ -133,7 +175,8 @@ void ThreadPool::parallel_for(
     }
   };
 
-  // One helper task per worker is enough: each loops the cursor dry.
+  // One helper task per worker is enough: each loops the cursor dry. Wake
+  // one sleeper per queued task, so idle workers beyond that keep sleeping.
   const std::size_t helpers = std::min(workers_.size(), nchunks - 1);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -141,7 +184,7 @@ void ThreadPool::parallel_for(
       tasks_.emplace([job, drain] { drain(job); });
     }
   }
-  cv_.notify_all();
+  for (std::size_t i = 0; i < helpers; ++i) cv_.notify_one();
 
   drain(job);
   {

@@ -15,6 +15,15 @@
 // (default: std::thread::hardware_concurrency()). Tests and benches may
 // resize it at a safe point via set_thread_count().
 //
+// Placement: on Linux each worker is pinned to its own CPU of the process's
+// affinity mask (wrapping when there are more workers than CPUs), so the
+// workers never pile onto one CPU between loops.
+//
+// Work-sized dispatch: callers state what one index costs, never a grain.
+// The pool cuts chunks of at least kMinChunkWork units and runs a range that
+// fits in one chunk inline on the caller, at any thread count, so loops too
+// small to pay for waking a worker never leave the calling thread.
+//
 // This is the process's ONLY compute pool. In particular the serving layer
 // (src/serve/) adds just one dispatcher thread of its own and pushes every
 // micro-batch through here via Dcn::predict — any thread may call
@@ -35,6 +44,19 @@
 #include <vector>
 
 namespace dcn::runtime {
+
+/// Smallest amount of work worth handing to another thread, in work units:
+/// one FLOP or one float moved. A chunk holds at least this much, so a range
+/// whose total work is at most kMinChunkWork always runs inline. Sized by
+/// the `pool_dispatch` row of bench_latency_microbench (BENCH_runtime.json):
+/// on a 4-vCPU VM one empty 4-chunk dispatch at 4 threads costs 20-23 us
+/// more CPU and 5-6 us more wall time than running it inline, 7-8 us of CPU
+/// per woken helper. 2^19 units take 50-270 us at the 2-10 GFLOP/s the
+/// batch-1 to batch-8 kernels reach there, so a wake-up stays within 5-15%
+/// of the chunk it buys. It keeps a batch-1 or batch-2 MNIST convnet
+/// forward (~0.3M units per row) inline; 2^20 also did, but cut a batch-8
+/// forward into two chunks instead of four and doubled its wall time.
+inline constexpr std::size_t kMinChunkWork = std::size_t{1} << 19;
 
 /// Utilization gauges for the pool (obs::MetricsRegistry exports them as the
 /// dcn_pool_* families). All sampled from relaxed atomics: approximately
@@ -66,13 +88,17 @@ class ThreadPool {
   /// thread always participates).
   [[nodiscard]] std::size_t concurrency() const { return size() + 1; }
 
-  /// Apply fn(chunk_begin, chunk_end) over [begin, end) split into chunks of
-  /// at most `grain` indices. The calling thread participates; chunks are
-  /// claimed from an atomic cursor so balance is automatic. Blocks until the
-  /// whole range is done. Exceptions from fn are rethrown on the caller
-  /// (first one wins). Nested calls from inside a worker run inline —
-  /// parallelism is applied at the outermost level only.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+  /// Apply fn(chunk_begin, chunk_end) over [begin, end), where each index
+  /// costs `work_per_index` work units (see kMinChunkWork; 0 counts as 1).
+  /// Chunks carry at least kMinChunkWork units and number at most twice
+  /// concurrency(); a range that fits in one chunk runs inline. The calling
+  /// thread participates; chunks are claimed from an atomic cursor so
+  /// balance is automatic. Blocks until the whole range is done. Exceptions
+  /// from fn are rethrown on the caller (first one wins). Nested calls from
+  /// inside a worker run inline — parallelism is applied at the outermost
+  /// level only.
+  void parallel_for(std::size_t begin, std::size_t end,
+                    std::size_t work_per_index,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Utilization snapshot (see PoolStatsSnapshot).
@@ -115,9 +141,10 @@ void set_thread_count(std::size_t threads);
 PoolStatsSnapshot pool_stats();
 
 /// Convenience wrapper over pool().parallel_for.
-inline void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+inline void parallel_for(std::size_t begin, std::size_t end,
+                         std::size_t work_per_index,
                          const std::function<void(std::size_t, std::size_t)>& fn) {
-  pool().parallel_for(begin, end, grain, fn);
+  pool().parallel_for(begin, end, work_per_index, fn);
 }
 
 }  // namespace dcn::runtime

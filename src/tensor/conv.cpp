@@ -39,7 +39,8 @@ Tensor im2col(const Tensor& image, const Conv2DSpec& spec) {
   const std::size_t hw = spec.in_height * spec.in_width;
   // Each output row oy owns a disjoint [ow, patch] slice of `cols`, so the
   // gather parallelizes over rows with no shared writes.
-  runtime::parallel_for(0, oh, 4, [&](std::size_t oy0, std::size_t oy1) {
+  runtime::parallel_for(0, oh, ow * patch, [&](std::size_t oy0,
+                                                 std::size_t oy1) {
   for (std::size_t oy = oy0; oy < oy1; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
       float* prow = dst + (oy * ow + ox) * patch;
@@ -176,7 +177,7 @@ Tensor conv2d_forward_batch(const Tensor& batch, const Tensor& weights,
   float* dst = cols_t.data().data();
   const std::size_t hw = spec.in_height * spec.in_width;
   const std::size_t chw = spec.in_channels * hw;
-  runtime::parallel_for(0, patch, 1, [&](std::size_t r0, std::size_t r1) {
+  runtime::parallel_for(0, patch, np, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t c = r / (spec.kernel * spec.kernel);
       const std::size_t ky = (r / spec.kernel) % spec.kernel;
@@ -242,8 +243,9 @@ Tensor conv2d_forward_batch(const Tensor& batch, const Tensor& weights,
   float* po = out.data().data();
   const std::size_t ohw = oh * ow;
   const simd::GemmKernels& kern = simd::kernels();
+  const std::size_t task_work = (2 * patch + 1) * ohw;  // GEMM row + bias
   runtime::parallel_for(
-      0, n * out_c, 8, [&](std::size_t t0, std::size_t t1) {
+      0, n * out_c, task_work, [&](std::size_t t0, std::size_t t1) {
         // Chunks are contiguous (image, channel) row ranges; run the kernel
         // once per image segment so it sees multi-row blocks.
         std::size_t t = t0;

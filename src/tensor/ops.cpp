@@ -39,13 +39,6 @@ void count_gemm(std::size_t m, std::size_t n, std::size_t k, std::uint64_t ns,
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kJc = 1024;
 
-// Row-block grain for parallel GEMM: enough rows per chunk to amortize
-// dispatch, few enough to balance across the pool.
-std::size_t row_grain(std::size_t rows) {
-  const std::size_t conc = runtime::pool().concurrency();
-  return std::max<std::size_t>(8, (rows + 2 * conc - 1) / (2 * conc));
-}
-
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -69,10 +62,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   // ascending, float accumulate, zero A terms skipped) identical at any
   // thread count and on every dispatch path.
   const simd::GemmKernels& kern = simd::kernels();
-  runtime::parallel_for(0, m, row_grain(m),
-                        [&](std::size_t i0, std::size_t i1) {
-                          kern.gemm_f32(pa, k, pb, n, pc, n, i0, i1, n, k);
-                        });
+  runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
+    kern.gemm_f32(pa, k, pb, n, pc, n, i0, i1, n, k);
+  });
   count_gemm(m, n, k, timer.ns(),
              simd::active_path() != simd::GemmPath::kGeneric);
   return c;
@@ -94,8 +86,7 @@ Tensor matmul_at_b(const Tensor& a, const Tensor& b) {
   // C rows are partitioned across the pool; within a row block the p loop
   // stays outermost so A and B stream row-major, and a[p, i] accesses land in
   // the same cache lines for the whole i block.
-  runtime::parallel_for(0, m, row_grain(m), [&](std::size_t i0,
-                                                std::size_t i1) {
+  runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
       const std::size_t p1 = std::min(k, p0 + kKc);
       for (std::size_t p = p0; p < p1; ++p) {
@@ -134,14 +125,14 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
   // below.
   if (m >= 8 && n > 1) {
     std::vector<float> bt(k * n);
-    runtime::parallel_for(0, k, 64, [&](std::size_t p0, std::size_t p1) {
+    runtime::parallel_for(0, k, n, [&](std::size_t p0, std::size_t p1) {
       for (std::size_t p = p0; p < p1; ++p) {
         for (std::size_t j = 0; j < n; ++j) bt[p * n + j] = pb[j * k + p];
       }
     });
     const simd::GemmKernels& kern = simd::kernels();
     runtime::parallel_for(
-        0, m, row_grain(m), [&](std::size_t i0, std::size_t i1) {
+        0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
           kern.gemm_f64acc(pa, k, bt.data(), n, pc, n, i0, i1, n, k);
         });
     count_gemm(m, n, k, timer.ns(),
@@ -150,8 +141,7 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
   }
   // Both operands are traversed contiguously (dot of row i of A with row j of
   // B); blocking j keeps a panel of B rows hot while arow streams from L1.
-  runtime::parallel_for(0, m, row_grain(m), [&](std::size_t i0,
-                                                std::size_t i1) {
+  runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t j0 = 0; j0 < n; j0 += kJc) {
       const std::size_t j1 = std::min(n, j0 + kJc);
       for (std::size_t i = i0; i < i1; ++i) {

@@ -293,9 +293,11 @@ TEST(OpsDiff, MatmulMatchesReferenceOnEveryPath) {
   Rng rng(0x0D5D1F);
   for (const auto path : simd::available_paths()) {
     const PathGuard guard(path);
+    // The last shape carries more than runtime::kMinChunkWork, so with a
+    // multi-thread pool its rows are split across chunks.
     for (const auto& [m, n, k] : std::vector<std::array<std::size_t, 3>>{
              {1, 1, 1}, {7, 9, 5}, {8, 8, 8}, {9, 17, 33}, {64, 65, 63},
-             {33, 129, 40}}) {
+             {33, 129, 40}, {96, 160, 128}}) {
       const auto av = random_operand(m * k, rng, true);
       const auto bv = random_operand(k * n, rng, false);
       const Tensor c = dcn::ops::matmul(tensor_from(av, Shape{m, k}),
@@ -315,8 +317,10 @@ TEST(OpsDiff, MatmulABtMatchesReferenceOnEveryPath) {
     const PathGuard guard(path);
     // Wide shapes (m >= 8, n > 1) take the dispatched kernel; narrow ones
     // take the scalar dot path — the reference must match both bitwise.
+    // {96, 160, 128} carries more than runtime::kMinChunkWork.
     for (const auto& [m, n, k] : std::vector<std::array<std::size_t, 3>>{
-             {2, 3, 7}, {8, 2, 5}, {17, 9, 65}, {64, 33, 12}, {9, 1, 8}}) {
+             {2, 3, 7}, {8, 2, 5}, {17, 9, 65}, {64, 33, 12}, {9, 1, 8},
+             {96, 160, 128}}) {
       const auto av = random_operand(m * k, rng, true);
       const auto btv = random_operand(n * k, rng, false);  // B is [n, k]
       const Tensor c = dcn::ops::matmul_a_bt(tensor_from(av, Shape{m, k}),
@@ -335,9 +339,10 @@ TEST(OpsDiff, ConvBatchMatchesReferenceOnEveryPath) {
   struct Case {
     std::size_t images, in_c, hw, out_c, kernel, stride, padding;
   };
+  // The last case's GEMM carries more than runtime::kMinChunkWork.
   const std::vector<Case> cases = {
       {1, 1, 9, 3, 3, 1, 0},  {3, 2, 11, 8, 3, 1, 1}, {2, 3, 12, 9, 5, 2, 2},
-      {1, 1, 28, 16, 5, 1, 2}, {4, 2, 8, 7, 3, 2, 0}};
+      {1, 1, 28, 16, 5, 1, 2}, {4, 2, 8, 7, 3, 2, 0}, {3, 8, 28, 8, 3, 1, 1}};
   for (const auto path : simd::available_paths()) {
     const PathGuard guard(path);
     for (const auto& cs : cases) {

@@ -309,7 +309,7 @@ TEST(TraceExport, PoolThreadSpansAreCollected) {
   TraceSandbox sandbox;
   obs::set_tracing_enabled(true);
   std::vector<double> out(256, 0.0);
-  runtime::parallel_for(0, out.size(), 16,
+  runtime::parallel_for(0, out.size(), runtime::kMinChunkWork / 16,
                         [&](std::size_t begin, std::size_t end) {
                           DCN_TRACE_SPAN("test.chunk", "test");
                           for (std::size_t i = begin; i < end; ++i) {
@@ -384,7 +384,7 @@ TEST(Registry, PrometheusExposesLibraryFamilies) {
   const Tensor b = Tensor::uniform(Shape{6, 5}, rng);
   (void)ops::matmul(a, b);
   std::vector<double> out(64, 0.0);
-  runtime::parallel_for(0, out.size(), 8,
+  runtime::parallel_for(0, out.size(), runtime::kMinChunkWork / 8,
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t i = begin; i < end; ++i) out[i] = 1.0;
                         });
@@ -475,7 +475,7 @@ TEST(KernelStats, GemmCountersAdvanceByKnownAmounts) {
 TEST(PoolStats, DispatchGaugesAdvance) {
   const runtime::PoolStatsSnapshot before = runtime::pool_stats();
   std::vector<double> out(512, 0.0);
-  runtime::parallel_for(0, out.size(), 32,
+  runtime::parallel_for(0, out.size(), runtime::kMinChunkWork / 32,
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t i = begin; i < end; ++i) {
                             out[i] = static_cast<double>(i) * 0.5;
@@ -514,7 +514,7 @@ TEST(LatencyHistogram, MergeOfConcurrentRecordingsIsLossless) {
   const auto value = [](std::size_t i) {
     return static_cast<double>((i * 37) % 5000) + 1.0;
   };
-  runtime::parallel_for(0, kObservations, 64,
+  runtime::parallel_for(0, kObservations, runtime::kMinChunkWork / 64,
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t i = begin; i < end; ++i) {
                             shards[i % kShards].record(value(i));

@@ -4,10 +4,20 @@
 // bit-identical at any DCN_THREADS value.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <map>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "core/corrector.hpp"
 #include "core/dcn.hpp"
@@ -36,25 +46,35 @@ struct SimdPathGuard {
   ~SimdPathGuard() { simd::force_path(saved); }
 };
 
+// Parallel dispatches the global pool has made so far.
+std::uint64_t dispatches() { return runtime::pool_stats().parallel_fors; }
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadCountGuard guard;
   runtime::set_thread_count(4);
   std::vector<std::atomic<int>> hits(103);
-  runtime::parallel_for(3, 103, 7, [&](std::size_t lo, std::size_t hi) {
-    ASSERT_LT(lo, hi);
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
+  const std::uint64_t before = dispatches();
+  runtime::parallel_for(3, 103, runtime::kMinChunkWork / 7,
+                        [&](std::size_t lo, std::size_t hi) {
+                          ASSERT_LT(lo, hi);
+                          for (std::size_t i = lo; i < hi; ++i) {
+                            hits[i].fetch_add(1);
+                          }
+                        });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), i >= 3 ? 1 : 0) << "index " << i;
   }
+  EXPECT_EQ(dispatches() - before, 1U);
 }
 
 TEST(ThreadPool, EmptyRangeAndZeroGrain) {
   ThreadCountGuard guard;
   runtime::set_thread_count(3);
   int calls = 0;
-  runtime::parallel_for(5, 5, 4, [&](std::size_t, std::size_t) { ++calls; });
+  runtime::parallel_for(5, 5, runtime::kMinChunkWork,
+                        [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
+  // Zero work per index counts as one unit.
   std::atomic<int> count{0};
   runtime::parallel_for(0, 9, 0, [&](std::size_t lo, std::size_t hi) {
     count += static_cast<int>(hi - lo);
@@ -66,13 +86,16 @@ TEST(ThreadPool, NestedCallsRunInline) {
   ThreadCountGuard guard;
   runtime::set_thread_count(4);
   std::atomic<int> total{0};
-  runtime::parallel_for(0, 8, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      runtime::parallel_for(0, 10, 2, [&](std::size_t a, std::size_t b) {
-        total += static_cast<int>(b - a);
+  // Both levels carry enough work to fan out on their own.
+  runtime::parallel_for(
+      0, 8, runtime::kMinChunkWork, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          runtime::parallel_for(0, 10, runtime::kMinChunkWork / 2,
+                                [&](std::size_t a, std::size_t b) {
+                                  total += static_cast<int>(b - a);
+                                });
+        }
       });
-    }
-  });
   EXPECT_EQ(total.load(), 80);
 }
 
@@ -80,22 +103,121 @@ TEST(ThreadPool, PropagatesExceptions) {
   ThreadCountGuard guard;
   runtime::set_thread_count(4);
   EXPECT_THROW(
-      runtime::parallel_for(0, 64, 1,
-                            [&](std::size_t lo, std::size_t) {
-                              if (lo == 13) {
-                                throw std::runtime_error("chunk 13");
+      runtime::parallel_for(0, 64, runtime::kMinChunkWork,
+                            [&](std::size_t lo, std::size_t hi) {
+                              if (lo <= 13 && 13 < hi) {
+                                throw std::runtime_error("chunk with 13");
                               }
                             }),
       std::runtime_error);
   // The pool must stay usable after a throwing job.
   std::atomic<int> count{0};
-  runtime::parallel_for(0, 16, 1,
-                        [&](std::size_t, std::size_t) { ++count; });
+  runtime::parallel_for(0, 16, runtime::kMinChunkWork,
+                        [&](std::size_t lo, std::size_t hi) {
+                          count += static_cast<int>(hi - lo);
+                        });
   EXPECT_EQ(count.load(), 16);
 }
 
 TEST(ThreadPool, SetThreadCountRejectsZero) {
   EXPECT_THROW(runtime::set_thread_count(0), std::invalid_argument);
+}
+
+#if defined(__linux__)
+TEST(ThreadPool, WorkersArePinnedToDistinctCpus) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 4) {
+    GTEST_SKIP() << "needs 4 CPUs to give 3 workers a CPU each";
+  }
+  ThreadCountGuard guard;
+  runtime::set_thread_count(4);
+  // Every chunk records which thread ran it and on which CPU; the sleep
+  // leaves time for every worker to claim chunks.
+  std::vector<std::pair<std::thread::id, int>> ran(64);
+  runtime::parallel_for(0, ran.size(), runtime::kMinChunkWork,
+                        [&](std::size_t lo, std::size_t hi) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(2));
+                          for (std::size_t i = lo; i < hi; ++i) {
+                            ran[i] = {std::this_thread::get_id(),
+                                      sched_getcpu()};
+                          }
+                        });
+  std::map<std::thread::id, std::set<int>> cpus_of;
+  for (const auto& [id, cpu] : ran) {
+    if (id != std::this_thread::get_id()) cpus_of[id].insert(cpu);
+  }
+  ASSERT_FALSE(cpus_of.empty()) << "no worker ran a chunk";
+  std::set<int> worker_cpus;
+  for (const auto& [id, cpus] : cpus_of) {
+    EXPECT_EQ(cpus.size(), 1U) << "a worker ran on more than one CPU";
+    worker_cpus.insert(*cpus.begin());
+  }
+  EXPECT_EQ(worker_cpus.size(), cpus_of.size()) << "two workers share a CPU";
+}
+#endif
+
+TEST(ThreadPool, WorkSizedDispatchKeepsBatchOneOffThePool) {
+  // At 4 threads a batch-1 convnet forward and a benign batch-1 decision
+  // carry too little work to pay for a handoff, so they never dispatch;
+  // a 256^3 GEMM and a batch-14 forward do. Every output is bit-identical
+  // to the single-threaded run.
+  ThreadCountGuard guard;
+  Rng model_rng(20260805);
+  nn::Sequential net = models::mnist_convnet(model_rng);
+  // An untrained detector biased towards "benign" (its output bias is the
+  // last parameter), so the decision takes the benign path.
+  core::Detector detector(10);
+  (*detector.network().params().back().value)[0] = 100.0F;
+  core::Corrector corrector(net);
+  core::Dcn dcn(net, detector, corrector);
+  Rng rng(4711);
+  const Tensor one = Tensor::uniform(Shape{1, 1, 28, 28}, rng);
+  const Tensor fourteen = Tensor::uniform(Shape{14, 1, 28, 28}, rng);
+  const Tensor a = Tensor::uniform(Shape{256, 256}, rng, -1.0F, 1.0F);
+  const Tensor bt = Tensor::uniform(Shape{256, 256}, rng, -1.0F, 1.0F);
+
+  struct Run {
+    Tensor logits_one, logits_fourteen, gemm;
+    core::Dcn::Decision decision;
+    std::uint64_t d_one = 0, d_decision = 0, d_gemm = 0, d_fourteen = 0;
+  };
+  const auto run = [&](std::size_t threads) {
+    runtime::set_thread_count(threads);
+    Run r;
+    std::uint64_t before = dispatches();
+    r.logits_one = net.logits_batch(one);
+    r.d_one = dispatches() - before;
+    before = dispatches();
+    const auto decisions = dcn.predict_verbose(one);
+    r.d_decision = dispatches() - before;
+    r.decision = decisions.at(0);
+    before = dispatches();
+    r.gemm = ops::matmul_a_bt(a, bt);
+    r.d_gemm = dispatches() - before;
+    before = dispatches();
+    r.logits_fourteen = net.logits_batch(fourteen);
+    r.d_fourteen = dispatches() - before;
+    return r;
+  };
+  const Run serial = run(1);
+  const Run four = run(4);
+
+  ASSERT_FALSE(four.decision.flagged_adversarial)
+      << "the batch-1 decision must take the benign path";
+  EXPECT_EQ(four.d_one, 0U);
+  EXPECT_EQ(four.d_decision, 0U);
+  EXPECT_GT(four.d_gemm, 0U);
+  EXPECT_GT(four.d_fourteen, 0U);
+
+  EXPECT_EQ(four.logits_one, serial.logits_one);
+  EXPECT_EQ(four.logits_fourteen, serial.logits_fourteen);
+  EXPECT_EQ(four.gemm, serial.gemm);
+  EXPECT_EQ(four.decision.label, serial.decision.label);
+  EXPECT_EQ(four.decision.dnn_label, serial.decision.dnn_label);
+  EXPECT_EQ(four.decision.detector_margin, serial.decision.detector_margin);
 }
 
 // ---- Kernel equivalence ----------------------------------------------------
@@ -142,18 +264,22 @@ Tensor naive_a_bt(const Tensor& a, const Tensor& b) {
 }
 
 // Shapes straddle the kernels' block sizes: tiny, non-multiple-of-tile, and
-// larger than one k-panel (k > 256).
+// larger than one k-panel (k > 256). The largest carry more than
+// runtime::kMinChunkWork, so the 4-thread legs really reach the pool (the
+// small ones run inline at any thread count).
 struct GemmShape {
   std::size_t m, k, n;
 };
-const GemmShape kShapes[] = {
-    {1, 1, 1}, {3, 5, 2}, {17, 31, 13}, {64, 64, 64}, {65, 300, 67}};
+const GemmShape kShapes[] = {{1, 1, 1},      {3, 5, 2},
+                             {17, 31, 13},   {64, 64, 64},
+                             {65, 300, 67},  {96, 128, 160}};
 
 TEST(Kernels, BlockedMatmulMatchesNaive) {
   ThreadCountGuard guard;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     runtime::set_thread_count(threads);
     Rng rng(321);
+    const std::uint64_t before = dispatches();
     for (const auto& s : kShapes) {
       const Tensor a = Tensor::uniform(Shape{s.m, s.k}, rng, -1.0F, 1.0F);
       const Tensor b = Tensor::uniform(Shape{s.k, s.n}, rng, -1.0F, 1.0F);
@@ -166,6 +292,9 @@ TEST(Kernels, BlockedMatmulMatchesNaive) {
             << s.n << " elem " << i;
       }
     }
+    if (threads > 1) {
+      EXPECT_GT(dispatches(), before) << "no shape reached the pool";
+    }
   }
 }
 
@@ -174,6 +303,7 @@ TEST(Kernels, BlockedMatmulAtBMatchesNaive) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     runtime::set_thread_count(threads);
     Rng rng(654);
+    const std::uint64_t before = dispatches();
     for (const auto& s : kShapes) {
       const Tensor a = Tensor::uniform(Shape{s.k, s.m}, rng, -1.0F, 1.0F);
       const Tensor b = Tensor::uniform(Shape{s.k, s.n}, rng, -1.0F, 1.0F);
@@ -183,6 +313,9 @@ TEST(Kernels, BlockedMatmulAtBMatchesNaive) {
         ASSERT_FLOAT_EQ(c[i], ref[i]) << "threads=" << threads;
       }
     }
+    if (threads > 1) {
+      EXPECT_GT(dispatches(), before) << "no shape reached the pool";
+    }
   }
 }
 
@@ -191,6 +324,7 @@ TEST(Kernels, BlockedMatmulABtMatchesNaive) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     runtime::set_thread_count(threads);
     Rng rng(987);
+    const std::uint64_t before = dispatches();
     for (const auto& s : kShapes) {
       const Tensor a = Tensor::uniform(Shape{s.m, s.k}, rng, -1.0F, 1.0F);
       const Tensor b = Tensor::uniform(Shape{s.n, s.k}, rng, -1.0F, 1.0F);
@@ -199,6 +333,9 @@ TEST(Kernels, BlockedMatmulABtMatchesNaive) {
       for (std::size_t i = 0; i < c.size(); ++i) {
         ASSERT_FLOAT_EQ(c[i], ref[i]) << "threads=" << threads;
       }
+    }
+    if (threads > 1) {
+      EXPECT_GT(dispatches(), before) << "no shape reached the pool";
     }
   }
 }
@@ -217,7 +354,9 @@ TEST(Kernels, ShapeErrorsStillThrow) {
 TEST(Kernels, ConvBatchBitIdenticalToPerExample) {
   ThreadCountGuard guard;
   // Stride 1 with padding exercises the contiguous-copy path and its
-  // zero-filled edges; stride 2 exercises the generic gather path.
+  // zero-filled edges; stride 2 exercises the generic gather path. The
+  // third spec's batched GEMM carries more than runtime::kMinChunkWork, so
+  // the 4-thread leg really reaches the pool.
   const conv::Conv2DSpec specs[] = {
       {.in_channels = 2,
        .in_height = 9,
@@ -231,10 +370,17 @@ TEST(Kernels, ConvBatchBitIdenticalToPerExample) {
        .kernel = 3,
        .stride = 2,
        .padding = 2},
+      {.in_channels = 8,
+       .in_height = 28,
+       .in_width = 28,
+       .kernel = 3,
+       .stride = 1,
+       .padding = 1},
   };
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     runtime::set_thread_count(threads);
     Rng rng(246);
+    const std::uint64_t before = dispatches();
     for (const auto& spec : specs) {
       const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
       const std::size_t out_c = 4, n = 3;
@@ -255,6 +401,9 @@ TEST(Kernels, ConvBatchBitIdenticalToPerExample) {
               << "threads=" << threads << " image " << b << " elem " << i;
         }
       }
+    }
+    if (threads > 1) {
+      EXPECT_GT(dispatches(), before) << "no spec reached the pool";
     }
   }
   Rng rng(2);
@@ -310,17 +459,18 @@ TEST(Determinism, DispatchPathByThreadCountSweepIsBitIdentical) {
   // The full contract in one sweep: every available dispatch path at every
   // DCN_THREADS value in {1, 4} must produce the same bits as the generic
   // single-threaded baseline — for the dense model, a raw GEMM, and the
-  // batched conv.
+  // batched conv. The GEMM and the conv carry more than
+  // runtime::kMinChunkWork, so the 4-thread legs really reach the pool.
   ThreadCountGuard threads_guard;
   SimdPathGuard path_guard;
   nn::Sequential model = make_small_model();
   const Tensor batch = make_batch(37, 6, 11);
   Rng rng(1311);
-  const Tensor ga = Tensor::uniform(Shape{33, 65}, rng, -1.0F, 1.0F);
-  const Tensor gb = Tensor::uniform(Shape{65, 17}, rng, -1.0F, 1.0F);
-  const conv::Conv2DSpec spec{2, 9, 9, 3, 1, 1};
-  const Tensor images = Tensor::uniform(Shape{3, 2, 9, 9}, rng);
-  const Tensor weights = Tensor::uniform(Shape{5, 18}, rng, -0.5F, 0.5F);
+  const Tensor ga = Tensor::uniform(Shape{97, 129}, rng, -1.0F, 1.0F);
+  const Tensor gb = Tensor::uniform(Shape{129, 161}, rng, -1.0F, 1.0F);
+  const conv::Conv2DSpec spec{8, 29, 29, 3, 1, 1};
+  const Tensor images = Tensor::uniform(Shape{3, 8, 29, 29}, rng);
+  const Tensor weights = Tensor::uniform(Shape{5, 72}, rng, -0.5F, 0.5F);
   const Tensor cbias = Tensor::uniform(Shape{5}, rng, -0.1F, 0.1F);
 
   simd::force_path(simd::GemmPath::kGeneric);
@@ -334,6 +484,7 @@ TEST(Determinism, DispatchPathByThreadCountSweepIsBitIdentical) {
     simd::force_path(path);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       runtime::set_thread_count(threads);
+      const std::uint64_t before = dispatches();
       const std::string tag = std::string("path=") + simd::path_name(path) +
                               " threads=" + std::to_string(threads);
       const Tensor logits = model.logits_batch(batch);
@@ -349,6 +500,9 @@ TEST(Determinism, DispatchPathByThreadCountSweepIsBitIdentical) {
                                                       spec);
       for (std::size_t i = 0; i < convd.size(); ++i) {
         ASSERT_EQ(convd[i], conv_ref[i]) << tag << " conv elem " << i;
+      }
+      if (threads > 1) {
+        EXPECT_GE(dispatches() - before, 2U) << tag;
       }
     }
   }
