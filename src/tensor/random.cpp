@@ -1,5 +1,6 @@
 #include "tensor/random.hpp"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -16,27 +17,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& w : state_) w = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 void Rng::discard(std::uint64_t n) {
@@ -47,7 +32,7 @@ void Rng::discard(std::uint64_t n) {
     state_[1] ^= state_[2];
     state_[0] ^= state_[3];
     state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    state_[3] = std::rotl(state_[3], 45);
   }
 }
 
@@ -59,13 +44,6 @@ void Rng::set_state(const std::array<std::uint64_t, 4>& s) {
   for (std::size_t i = 0; i < 4; ++i) state_[i] = s[i];
   has_spare_ = false;
 }
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");

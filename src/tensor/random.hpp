@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -17,8 +18,19 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Defined here, like uniform(), so per-element
+  /// draw loops (region sampling draws one per pixel) inline the step.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Advance the stream by n draws, as if next_u64() were called n times.
   /// O(n); for long strides prefer RngSkip (tensor/rng_skip.hpp).
@@ -29,11 +41,13 @@ class Rng {
   [[nodiscard]] std::array<std::uint64_t, 4> state() const;
   void set_state(const std::array<std::uint64_t, 4>& s);
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);

@@ -15,11 +15,13 @@ namespace dcn::simd {
 namespace {
 
 constexpr GemmKernels kGenericKernels{&detail::gemm_f32_generic,
-                                      &detail::gemm_f64acc_generic};
+                                      &detail::gemm_f64acc_generic,
+                                      &detail::gemm_f64acc_bt_generic};
 
 #if defined(DCN_SIMD_AVX2_COMPILED)
 constexpr GemmKernels kAvx2Kernels{&detail::gemm_f32_avx2,
-                                   &detail::gemm_f64acc_avx2};
+                                   &detail::gemm_f64acc_avx2,
+                                   &detail::gemm_f64acc_bt_avx2};
 #endif
 
 /// True when DCN_SIMD in the environment asks for the generic path.

@@ -11,10 +11,11 @@
 //     4 (double) different C columns; no element's reduction is ever split
 //     across lanes, so per element the operation sequence is exactly the
 //     scalar reference's: p strictly ascending.
-//   * gemm_f64acc uses real FMA. The products are doubles promoted from
-//     float (24-bit mantissas), so every product fits exactly in a double's
-//     53-bit mantissa: FMA's fused rounding and mul-then-add's two roundings
-//     produce identical bits, and vfmadd231pd is free determinism-wise.
+//   * gemm_f64acc and gemm_f64acc_bt use real FMA. The products are doubles
+//     promoted from float (24-bit mantissas), so every product fits exactly
+//     in a double's 53-bit mantissa: FMA's fused rounding and mul-then-add's
+//     two roundings produce identical bits, and vfmadd231pd is free
+//     determinism-wise.
 //   * gemm_f32 must NOT use FMA. Its contract is float mul-then-add with a
 //     rounding after each, so the tile uses mul_ps + add_ps; -ffp-contract
 //     =off keeps the compiler from fusing the scalar tail loops either.
@@ -25,8 +26,12 @@
 // gemm_f32 (one 8-wide register per row), and for gemm_f64acc two 4-row
 // bands of 8 ymm double accumulators each (doubles halve the lane width, so
 // an 8x8 double tile is walked as two register-blocked 4x8 halves).
+// gemm_f64acc_bt reads B untransposed, so it has no packed panel: it walks
+// C in tiles of up to 4 rows x 8 columns and transposes 4x4 tiles of B in
+// registers, which keeps lanes = output columns without a pass over B.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -168,6 +173,95 @@ inline void f64_band_1x8(const float* a, std::size_t lda, const double* bp,
   _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc1));
 }
 
+/// Rows [i, i + R) x columns [j, j + 4G) of C = A * B^T with B row-major
+/// [n, k] (one row per output column). `ad` holds those R rows of A promoted
+/// to double, row stride k. Lane l of column group g is output column
+/// j + 4g + l: every four p-steps, the group's 4x4 tile of B is promoted and
+/// transposed in registers, so each lane still accumulates its own column
+/// in strictly ascending p.
+template <std::size_t R, std::size_t G>
+inline void f64bt_tile(const double* ad, std::size_t k, const float* b,
+                       std::size_t ldb, float* c, std::size_t ldc,
+                       std::size_t i, std::size_t j) {
+  __m256d acc[R][G];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) acc[r][g] = _mm256_setzero_pd();
+  }
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      const float* bg = b + (j + 4 * g) * ldb + p;
+      // rN = column (j + 4g + N)'s B[., p..p+3].
+      const __m256d r0 = _mm256_cvtps_pd(_mm_loadu_ps(bg));
+      const __m256d r1 = _mm256_cvtps_pd(_mm_loadu_ps(bg + ldb));
+      const __m256d r2 = _mm256_cvtps_pd(_mm_loadu_ps(bg + 2 * ldb));
+      const __m256d r3 = _mm256_cvtps_pd(_mm_loadu_ps(bg + 3 * ldb));
+      const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);
+      const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);
+      const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+      // tQ = the four columns' B[., p + Q].
+      const __m256d t0 = _mm256_permute2f128_pd(lo01, lo23, 0x20);
+      const __m256d t1 = _mm256_permute2f128_pd(hi01, hi23, 0x20);
+      const __m256d t2 = _mm256_permute2f128_pd(lo01, lo23, 0x31);
+      const __m256d t3 = _mm256_permute2f128_pd(hi01, hi23, 0x31);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        const double* ar = ad + r * k + p;
+        __m256d v = acc[r][g];
+        v = _mm256_fmadd_pd(_mm256_broadcast_sd(ar), t0, v);
+        v = _mm256_fmadd_pd(_mm256_broadcast_sd(ar + 1), t1, v);
+        v = _mm256_fmadd_pd(_mm256_broadcast_sd(ar + 2), t2, v);
+        acc[r][g] = _mm256_fmadd_pd(_mm256_broadcast_sd(ar + 3), t3, v);
+      }
+    }
+  }
+  for (; p < k; ++p) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      const float* bg = b + (j + 4 * g) * ldb + p;
+      const __m256d t =
+          _mm256_set_pd(bg[3 * ldb], bg[2 * ldb], bg[ldb], bg[0]);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r][g] =
+            _mm256_fmadd_pd(_mm256_broadcast_sd(ad + r * k + p), t, acc[r][g]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      _mm_storeu_ps(c + (i + r) * ldc + j + 4 * g, _mm256_cvtpd_ps(acc[r][g]));
+    }
+  }
+}
+
+/// f64bt_tile for a band of `rows` (1..4) rows.
+template <std::size_t G>
+inline void f64bt_band(std::size_t rows, const double* ad, std::size_t k,
+                       const float* b, std::size_t ldb, float* c,
+                       std::size_t ldc, std::size_t i, std::size_t j) {
+  switch (rows) {
+    case 1:
+      f64bt_tile<1, G>(ad, k, b, ldb, c, ldc, i, j);
+      break;
+    case 2:
+      f64bt_tile<2, G>(ad, k, b, ldb, c, ldc, i, j);
+      break;
+    case 3:
+      f64bt_tile<3, G>(ad, k, b, ldb, c, ldc, i, j);
+      break;
+    default:
+      f64bt_tile<4, G>(ad, k, b, ldb, c, ldc, i, j);
+      break;
+  }
+}
+
 }  // namespace
 
 void gemm_f32_avx2(const float* a, std::size_t lda, const float* b,
@@ -232,6 +326,45 @@ void gemm_f64acc_avx2(const float* a, std::size_t lda, const float* b,
                  static_cast<double>(b[p * ldb + jj]);
         }
         crow[jj] = static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+void gemm_f64acc_bt_avx2(const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         std::size_t i0, std::size_t i1, std::size_t n,
+                         std::size_t k) {
+  // The chunk's A rows, promoted to double once (exactly) and read back
+  // through memory-operand broadcasts by every column tile.
+  std::vector<double> ad((i1 - i0) * k);
+  for (std::size_t i = i0; i < i1; ++i) {
+    const float* arow = a + i * lda;
+    double* drow = ad.data() + (i - i0) * k;
+    for (std::size_t p = 0; p < k; ++p) drow[p] = static_cast<double>(arow[p]);
+  }
+  for (std::size_t i = i0; i < i1; i += 4) {
+    const std::size_t rows = std::min<std::size_t>(4, i1 - i);
+    const double* band = ad.data() + (i - i0) * k;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      f64bt_band<2>(rows, band, k, b, ldb, c, ldc, i, j);
+    }
+    if (j + 4 <= n) {
+      f64bt_band<1>(rows, band, k, b, ldb, c, ldc, i, j);
+      j += 4;
+    }
+    // n-tail: scalar double dots, p ascending — the generic kernel's
+    // sequence.
+    for (; j < n; ++j) {
+      const float* brow = b + j * ldb;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* arow = band + r * k;
+        double acc = 0.0;
+        for (std::size_t p = 0; p < k; ++p) {
+          acc += arow[p] * static_cast<double>(brow[p]);
+        }
+        c[(i + r) * ldc + j] = static_cast<float>(acc);
       }
     }
   }

@@ -4,7 +4,8 @@
 // hoisted out of ops.cpp/conv.cpp so the AVX2 microkernels have a reference
 // to be bit-identical against. The cache blocking here never changes the
 // per-element accumulation order: for every output element the p loop runs
-// strictly ascending, in float for gemm_f32 and in double for gemm_f64acc.
+// strictly ascending, in float for gemm_f32 and in double for gemm_f64acc
+// and gemm_f64acc_bt.
 #include <algorithm>
 #include <cstddef>
 #include <vector>
@@ -74,6 +75,29 @@ void gemm_f64acc_generic(const float* a, std::size_t lda, const float* b,
       float* crow = c + i * ldc + j0;
       for (std::size_t jj = 0; jj < len; ++jj) {
         crow[jj] = static_cast<float>(acc[jj]);
+      }
+    }
+  }
+}
+
+void gemm_f64acc_bt_generic(const float* a, std::size_t lda, const float* b,
+                            std::size_t ldb, float* c, std::size_t ldc,
+                            std::size_t i0, std::size_t i1, std::size_t n,
+                            std::size_t k) {
+  // One double dot per output element: both operands are traversed
+  // contiguously (row i of A with row j of B), and blocking j keeps a panel
+  // of B rows hot while arow streams from L1.
+  for (std::size_t j0 = 0; j0 < n; j0 += kJc) {
+    const std::size_t j1 = std::min(n, j0 + kJc);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float* arow = a + i * lda;
+      for (std::size_t j = j0; j < j1; ++j) {
+        const float* brow = b + j * ldb;
+        double acc = 0.0;
+        for (std::size_t p = 0; p < k; ++p) {
+          acc += static_cast<double>(arow[p]) * static_cast<double>(brow[p]);
+        }
+        c[i * ldc + j] = static_cast<float>(acc);
       }
     }
   }

@@ -15,6 +15,10 @@ void gemm_f64acc_generic(const float* a, std::size_t lda, const float* b,
                          std::size_t ldb, float* c, std::size_t ldc,
                          std::size_t i0, std::size_t i1, std::size_t n,
                          std::size_t k);
+void gemm_f64acc_bt_generic(const float* a, std::size_t lda, const float* b,
+                            std::size_t ldb, float* c, std::size_t ldc,
+                            std::size_t i0, std::size_t i1, std::size_t n,
+                            std::size_t k);
 
 #if defined(DCN_SIMD_AVX2_COMPILED)
 // AVX2+FMA microkernels (gemm_avx2.cpp, built with -mavx2 -mfma
@@ -26,6 +30,10 @@ void gemm_f64acc_avx2(const float* a, std::size_t lda, const float* b,
                       std::size_t ldb, float* c, std::size_t ldc,
                       std::size_t i0, std::size_t i1, std::size_t n,
                       std::size_t k);
+void gemm_f64acc_bt_avx2(const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         std::size_t i0, std::size_t i1, std::size_t n,
+                         std::size_t k);
 #endif
 
 }  // namespace dcn::simd::detail

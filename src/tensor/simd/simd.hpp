@@ -1,6 +1,6 @@
 // SIMD GEMM microkernels behind runtime dispatch.
 //
-// Two kernel families, each with a portable generic implementation and an
+// Three kernel entries, each with a portable generic implementation and an
 // AVX2+FMA one selected by CPUID at startup:
 //
 //   gemm_f32     C[i, 0..n) += sum_p A[i, p] * B[p, 0..n)   (matmul contract)
@@ -11,14 +11,21 @@
 //                (matmul_a_bt / conv contract) — double accumulation with p
 //                strictly ascending per element, rounded once on the final
 //                narrowing store.
+//   gemm_f64acc_bt
+//                C[i, j] = (float) sum_p (double)A[i, p] * (double)B[j, p]
+//                (matmul_a_bt with B untransposed) — the gemm_f64acc
+//                contract read straight from B's rows. Its own entry because
+//                served Dense calls are 1–2 rows: a one-off transpose of B
+//                costs as much as the product there, so the kernel
+//                transposes 4x4 tiles of B in registers instead.
 //
 // Determinism contract (why the AVX2 kernels are bit-identical, not merely
 // close): SIMD lanes are only ever distinct OUTPUT elements — a lane never
 // splits one element's reduction, so the per-element operation sequence is
-// exactly the scalar reference's. For gemm_f64acc the kernels use real FMA
-// (vfmadd*pd): a product of two float-promoted doubles is exact (24+24
-// mantissa bits < 53), so FMA's single rounding and mul-then-add's rounding
-// land on the same bits — FMA is provably free here. For gemm_f32 the
+// exactly the scalar reference's. For the f64acc entries the kernels use
+// real FMA (vfmadd*pd): a product of two float-promoted doubles is exact
+// (24+24 mantissa bits < 53), so FMA's single rounding and mul-then-add's
+// rounding land on the same bits — FMA is provably free here. For gemm_f32 the
 // contract is float mul-then-add with two roundings, so the AVX2 kernel uses
 // mul_ps + add_ps and the TU is compiled with -ffp-contract=off; contracting
 // to FMA would drop the multiply's rounding and drift from the scalar path.
@@ -46,7 +53,7 @@ enum class GemmPath {
   kAvx2 = 1,     // 8x8-register-tiled AVX2(+FMA) microkernels
 };
 
-/// The dispatchable kernel set. Both function pointers are always non-null.
+/// The dispatchable kernel set. Every function pointer is always non-null.
 struct GemmKernels {
   /// Rows [i0, i1): C[i*ldc + j] += sum_p A[i*lda + p] * B[p*ldb + j] for
   /// j in [0, n), float accumulation, p ascending, A == 0 terms skipped.
@@ -59,6 +66,13 @@ struct GemmKernels {
                       std::size_t ldb, float* c, std::size_t ldc,
                       std::size_t i0, std::size_t i1, std::size_t n,
                       std::size_t k);
+  /// Rows [i0, i1): C[i*ldc + j] = (float) sum_p (double)A[i*lda + p] *
+  /// (double)B[j*ldb + p] for j in [0, n), double accumulation, p ascending.
+  /// B holds one row per output column (the Dense weight layout).
+  void (*gemm_f64acc_bt)(const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         std::size_t i0, std::size_t i1, std::size_t n,
+                         std::size_t k);
 };
 
 /// True when the AVX2 TU was compiled in (CMake -DDCN_SIMD=ON on x86-64).

@@ -3,7 +3,8 @@
 //
 //   1. Kernel sweeps: every dispatch path vs the naive scalar references
 //      over an exhaustive tail/edge shape grid, plus seeded randomized
-//      property tests with injected (signed) zeros.
+//      property tests with injected (signed) zeros. Each test covers every
+//      entry of simd::GemmKernels.
 //   2. Op-level sweeps: ops::matmul / ops::matmul_a_bt /
 //      conv::conv2d_forward_batch pinned to each path vs the references.
 //   3. Golden seed-compatibility fixtures: logits, detector margins, and
@@ -74,6 +75,18 @@ std::vector<float> random_operand(std::size_t count, Rng& rng,
     x = static_cast<float>(rng.uniform(-1.5, 1.5));
   }
   return v;
+}
+
+/// B^T ([n, k], the matmul_a_bt operand) of a row-major [k, n] B, with each
+/// row padded to `ldb` >= k floats. The padding holds NaN, so a kernel that
+/// reads past k in a row fails the bitwise comparison.
+std::vector<float> transposed(const std::vector<float>& b, std::size_t n,
+                              std::size_t k, std::size_t ldb) {
+  std::vector<float> bt(n * ldb, std::nanf(""));
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) bt[j * ldb + p] = b[p * n + j];
+  }
+  return bt;
 }
 
 /// All (m, n, k) triples of the tail/edge sweep.
@@ -152,9 +165,16 @@ TEST(KernelSweep, F32AccumulatesIntoExistingC) {
       std::vector<float> expected = c;
       kern.gemm_f32(a.data(), k, b.data(), n, c.data(), n, 0, m, n, k);
       dcn::testing::ref_matmul_into(expected, a, b, m, n, k);
-      const DiffStats stats = diff(expected, c);
+      DiffStats stats = diff(expected, c);
       ASSERT_TRUE(stats.bit_identical())
           << describe(stats, "gemm_f32 accumulate " + shape_tag(m, n, k, path));
+      // The f64acc entries overwrite instead: whatever C held is ignored.
+      const std::vector<float> bt = transposed(b, n, k, k);
+      c = random_operand(m * n, rng, false);
+      kern.gemm_f64acc_bt(a.data(), k, bt.data(), k, c.data(), n, 0, m, n, k);
+      stats = diff(dcn::testing::ref_matmul_a_bt(a, bt, m, n, k), c);
+      ASSERT_TRUE(stats.bit_identical()) << describe(
+          stats, "gemm_f64acc_bt overwrite " + shape_tag(m, n, k, path));
     }
   }
 }
@@ -171,16 +191,94 @@ TEST(KernelSweep, F64AccMatchesReferenceOnEveryPath) {
       std::vector<float> b(bpool.begin(), bpool.begin() + k * n);  // [k, n]
       // Reference takes B transposed ([n, k]); building it here also pins
       // the layout convention.
-      std::vector<float> bt(n * k);
-      for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
-      }
+      const std::vector<float> bt = transposed(b, n, k, k);
       std::vector<float> c(m * n, -777.0F);  // overwrite semantics
       kern.gemm_f64acc(a.data(), k, b.data(), n, c.data(), n, 0, m, n, k);
       const auto expected = dcn::testing::ref_matmul_a_bt(a, bt, m, n, k);
-      const DiffStats stats = diff(expected, c);
+      DiffStats stats = diff(expected, c);
       ASSERT_TRUE(stats.bit_identical())
           << describe(stats, "gemm_f64acc " + shape_tag(m, n, k, path));
+      // gemm_f64acc_bt reads B^T in place, here with padded rows (ldb > k).
+      const std::vector<float> bt_padded = transposed(b, n, k, k + 3);
+      std::fill(c.begin(), c.end(), -777.0F);
+      kern.gemm_f64acc_bt(a.data(), k, bt_padded.data(), k + 3, c.data(), n,
+                          0, m, n, k);
+      stats = diff(expected, c);
+      ASSERT_TRUE(stats.bit_identical())
+          << describe(stats, "gemm_f64acc_bt " + shape_tag(m, n, k, path));
+    }
+  }
+}
+
+/// Operands whose double sums depend on the order of every term. At
+/// positions shared by all rows, A holds +-2^40 pairs that open and later
+/// cancel, with B = 1 there; elsewhere both are small. A small term added
+/// while a pair is open is rounded to 2^-12, one added outside it is not,
+/// so any reordering of the p loop shows up in the narrowed float — which
+/// random operands alone cannot show, since double accumulation absorbs
+/// most reorderings before the final rounding.
+struct CancellingOperands {
+  std::vector<float> a;   // [m, k]
+  std::vector<float> b;   // [k, n]
+  std::vector<float> bt;  // [n, k]
+};
+
+CancellingOperands cancelling_operands(std::size_t m, std::size_t n,
+                                       std::size_t k, Rng& rng) {
+  constexpr float kBig = 0x1p40F;
+  // big[p]: +1 opens a pair, -1 closes it, 0 is a small term.
+  std::vector<int> big(k, 0);
+  bool open = false;
+  for (std::size_t p = 0; p < k; ++p) {
+    const bool last = p + 1 == k;
+    if (open && (last || rng.uniform() < 0.3)) {
+      big[p] = -1;
+      open = false;
+    } else if (!open && !last && rng.uniform() < 0.3) {
+      big[p] = 1;
+      open = true;
+    }
+  }
+  CancellingOperands ops{std::vector<float>(m * k),
+                         std::vector<float>(k * n),
+                         std::vector<float>(n * k)};
+  for (std::size_t i = 0; i < m; ++i) {
+    const float sign = rng.uniform() < 0.5 ? -1.0F : 1.0F;
+    for (std::size_t p = 0; p < k; ++p) {
+      ops.a[i * k + p] = big[p] != 0 ? sign * static_cast<float>(big[p]) * kBig
+                                     : static_cast<float>(rng.uniform(-1, 1));
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const float v =
+          big[p] != 0 ? 1.0F : static_cast<float>(rng.uniform(-1, 1));
+      ops.b[p * n + j] = v;
+      ops.bt[j * k + p] = v;
+    }
+  }
+  return ops;
+}
+
+TEST(KernelSweep, F64AccSummationOrderIsExact) {
+  Rng rng(0xD1FF06);
+  for (const auto path : simd::available_paths()) {
+    const simd::GemmKernels& kern = simd::kernels_for(path);
+    for (const auto& [m, n, k] : sweep_shapes()) {
+      const CancellingOperands ops = cancelling_operands(m, n, k, rng);
+      const auto expected =
+          dcn::testing::ref_matmul_a_bt(ops.a, ops.bt, m, n, k);
+      std::vector<float> c(m * n);
+      kern.gemm_f64acc(ops.a.data(), k, ops.b.data(), n, c.data(), n, 0, m, n,
+                       k);
+      DiffStats stats = diff(expected, c);
+      ASSERT_TRUE(stats.bit_identical()) << describe(
+          stats, "cancelling gemm_f64acc " + shape_tag(m, n, k, path));
+      kern.gemm_f64acc_bt(ops.a.data(), k, ops.bt.data(), k, c.data(), n, 0, m,
+                          n, k);
+      stats = diff(expected, c);
+      ASSERT_TRUE(stats.bit_identical()) << describe(
+          stats, "cancelling gemm_f64acc_bt " + shape_tag(m, n, k, path));
     }
   }
 }
@@ -214,6 +312,19 @@ TEST(KernelSweep, RowRangesComposeLikeFullCalls) {
     ASSERT_TRUE(stats.bit_identical())
         << describe(stats, std::string("gemm_f64acc chunked path=") +
                                simd::path_name(path));
+    // Chunks of 3 rows split the AVX2 4-row bands unevenly.
+    const std::vector<float> bt = transposed(b, n, k, k);
+    std::vector<float> whole_bt(m * n), chunked_bt(m * n);
+    kern.gemm_f64acc_bt(a.data(), k, bt.data(), k, whole_bt.data(), n, 0, m, n,
+                        k);
+    for (std::size_t i0 = 0; i0 < m; i0 += 3) {
+      kern.gemm_f64acc_bt(a.data(), k, bt.data(), k, chunked_bt.data(), n, i0,
+                          std::min(m, i0 + 3), n, k);
+    }
+    stats = diff(whole_bt, chunked_bt);
+    ASSERT_TRUE(stats.bit_identical())
+        << describe(stats, std::string("gemm_f64acc_bt chunked path=") +
+                               simd::path_name(path));
   }
 }
 
@@ -245,6 +356,15 @@ TEST(KernelSweep, PathsBitIdenticalToEachOther) {
       ASSERT_TRUE(stats.bit_identical())
           << describe(stats, "cross-path gemm_f64acc " +
                                  shape_tag(m, n, k, paths[pi]));
+      const std::vector<float> bt = transposed(b, n, k, k + 1);
+      base.gemm_f64acc_bt(a.data(), k, bt.data(), k + 1, c0.data(), n, 0, m,
+                          n, k);
+      other.gemm_f64acc_bt(a.data(), k, bt.data(), k + 1, c1.data(), n, 0, m,
+                           n, k);
+      stats = diff(c0, c1);
+      ASSERT_TRUE(stats.bit_identical())
+          << describe(stats, "cross-path gemm_f64acc_bt " +
+                                 shape_tag(m, n, k, paths[pi]));
     }
   }
 }
@@ -258,10 +378,9 @@ TEST(KernelSweep, SeededRandomizedShapes) {
     const std::size_t k = 1 + rng.uniform_index(96);
     const auto a = random_operand(m * k, rng, true);
     const auto b = random_operand(k * n, rng, false);
-    std::vector<float> bt(n * k);
-    for (std::size_t p = 0; p < k; ++p) {
-      for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
-    }
+    const std::vector<float> bt = transposed(b, n, k, k);
+    const std::size_t ldb = k + rng.uniform_index(5);  // sometimes padded
+    const std::vector<float> bt_ld = transposed(b, n, k, ldb);
     const auto expected32 = dcn::testing::ref_matmul(a, b, m, n, k);
     const auto expected64 = dcn::testing::ref_matmul_a_bt(a, bt, m, n, k);
     for (const auto path : simd::available_paths()) {
@@ -275,6 +394,12 @@ TEST(KernelSweep, SeededRandomizedShapes) {
       stats = diff(expected64, c);
       ASSERT_TRUE(stats.bit_identical())
           << describe(stats, "random gemm_f64acc " + shape_tag(m, n, k, path));
+      kern.gemm_f64acc_bt(a.data(), k, bt_ld.data(), ldb, c.data(), n, 0, m, n,
+                          k);
+      stats = diff(expected64, c);
+      ASSERT_TRUE(stats.bit_identical()) << describe(
+          stats, "random gemm_f64acc_bt " + shape_tag(m, n, k, path) +
+                     " ldb=" + std::to_string(ldb));
     }
   }
 }
@@ -315,12 +440,15 @@ TEST(OpsDiff, MatmulABtMatchesReferenceOnEveryPath) {
   Rng rng(0x0D5D2F);
   for (const auto path : simd::available_paths()) {
     const PathGuard guard(path);
-    // Wide shapes (m >= 8, n > 1) take the dispatched kernel; narrow ones
-    // take the scalar dot path — the reference must match both bitwise.
-    // {96, 160, 128} carries more than runtime::kMinChunkWork.
+    // Wide shapes (m >= 8, n > 1) transpose B for gemm_f64acc; narrow ones
+    // take gemm_f64acc_bt — the reference must match both bitwise. The
+    // mnist_convnet Dense shapes at the served 1, 2 and 7 rows fill the AVX2
+    // 8-column tiles; {96, 160, 128} carries more than
+    // runtime::kMinChunkWork.
     for (const auto& [m, n, k] : std::vector<std::array<std::size_t, 3>>{
              {2, 3, 7}, {8, 2, 5}, {17, 9, 65}, {64, 33, 12}, {9, 1, 8},
-             {96, 160, 128}}) {
+             {96, 160, 128}, {1, 64, 300}, {2, 64, 300}, {7, 64, 300},
+             {1, 10, 64}, {2, 10, 64}}) {
       const auto av = random_operand(m * k, rng, true);
       const auto btv = random_operand(n * k, rng, false);  // B is [n, k]
       const Tensor c = dcn::ops::matmul_a_bt(tensor_from(av, Shape{m, k}),

@@ -1,6 +1,13 @@
 // Gradient checks and behavioural tests for every nn layer.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -139,6 +146,57 @@ TEST(MaxPoolLayer, GradientMatchesNumeric) {
                 [&](const Tensor& z) { return testing::sq_loss(model, z); },
                 x, grad, 1e-4F),
             kTol);
+}
+
+TEST(MaxPoolLayer, InferenceMatchesTrainingBitForBit) {
+  // The inference path (a fast body for window 2, a generic one otherwise)
+  // must reproduce the training path's strict-greater argmax scan bit for
+  // bit on finite inputs: ties keep the first element, so a window of mixed
+  // signed zeros pools to whichever zero comes first. Odd sizes drop the
+  // last row/column.
+  Rng rng(31);
+  const std::array<float, 4> discrete{-0.0F, 0.0F, 0.5F, -0.5F};
+  for (const std::size_t window : {2UL, 3UL}) {
+    for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {11, 11}, {13, 13}, {5, 7}}) {
+      Tensor x(Shape{2, 3, h, w});
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        // ~40% from a small set, so ties and +/-0 windows are common.
+        x[i] = rng.uniform() < 0.4
+                   ? discrete[rng.uniform_index(discrete.size())]
+                   : static_cast<float>(rng.normal());
+      }
+      // Plant the first two windows of every plane: all zeros, -0 first
+      // then +0 first.
+      for (std::size_t plane = 0; plane < 6; ++plane) {
+        float* base = x.data().data() + plane * h * w;
+        for (std::size_t ky = 0; ky < window; ++ky) {
+          for (std::size_t kx = 0; kx < window; ++kx) {
+            const bool odd = ((ky * window + kx) % 2) == 1;
+            base[ky * w + kx] = odd ? 0.0F : -0.0F;
+            base[ky * w + window + kx] = odd ? -0.0F : 0.0F;
+          }
+        }
+      }
+      nn::MaxPool2D pool(window);
+      const Tensor inference = pool.forward(x, /*train=*/false);
+      const Tensor training = pool.forward(x, /*train=*/true);
+      ASSERT_EQ(inference.shape(), training.shape());
+      ASSERT_EQ(inference.shape(), Shape({2, 3, h / window, w / window}));
+      for (std::size_t i = 0; i < inference.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(inference[i]),
+                  std::bit_cast<std::uint32_t>(training[i]))
+            << "window " << window << " " << h << "x" << w << " output " << i
+            << ": inference " << inference[i] << " training " << training[i];
+      }
+      const std::size_t ohw = (h / window) * (w / window);
+      for (std::size_t plane = 0; plane < 6; ++plane) {
+        EXPECT_TRUE(std::signbit(inference[plane * ohw]));
+        EXPECT_FALSE(std::signbit(inference[plane * ohw + 1]));
+        EXPECT_EQ(inference[plane * ohw], 0.0F);
+      }
+    }
+  }
 }
 
 TEST(FlattenLayer, RoundTripsShape) {
