@@ -9,7 +9,8 @@
 // loop as the speedup baseline — and writes BENCH_runtime.json. Its first
 // row, `pool_dispatch`, is the handoff cost runtime::kMinChunkWork is sized
 // against; the `served_forward` row is the per-layer ledger of the forward
-// pass at the batch sizes serving runs.
+// pass at the batch sizes serving runs, and `train_step` the same for one
+// training step (train-mode forward and backward) at 1 and 32 rows.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 #include <time.h>
@@ -356,6 +357,75 @@ eval::JsonObject measure_served_forward(nn::Sequential& model,
   return row;
 }
 
+/// The training step, layer by layer, on one thread: the CPU cost of each
+/// mnist_convnet layer's train-mode forward and backward at 1 row (one
+/// CW-L2 iteration) and 32 rows (the training batch), beside the same
+/// layer's inference forward in the same run. The backward is fed a fixed
+/// uniform gradient at the logits; the parameter gradients it accumulates
+/// are cleared afterwards.
+eval::JsonObject measure_train_step(nn::Sequential& model,
+                                    const Tensor& example) {
+  runtime::set_thread_count(1);
+  eval::JsonObject row;
+  row.set("threads", std::size_t{1}).set("reps", kLedgerReps);
+  for (const std::size_t m : {1UL, 32UL}) {
+    Tensor h(Shape{m, 1, 28, 28});
+    for (std::size_t r = 0; r < m; ++r) {
+      std::copy(example.data().begin(), example.data().end(),
+                h.data().begin() +
+                    static_cast<std::ptrdiff_t>(r * example.size()));
+    }
+    const std::size_t calls = m == 32 ? 10 : 200;
+    const std::string b = "_us_b" + std::to_string(m);
+    std::vector<std::string> keys;
+    std::vector<double> layer_fwd_us, layer_train_fwd_us;
+    double fwd_us = 0.0, train_fwd_us = 0.0, bwd_us = 0.0;
+    for (std::size_t i = 0; i < model.layer_count(); ++i) {
+      nn::Layer& layer = model.layer(i);
+      std::string kind = layer.name();
+      for (char& c : kind) c = static_cast<char>(std::tolower(c));
+      keys.push_back("L" + std::to_string(i) + "_" + kind);
+      const auto qf = cpu_us_quartiles(
+          [&] { benchmark::DoNotOptimize(layer.forward(h, false)); }, calls);
+      const auto qt = cpu_us_quartiles(
+          [&] { benchmark::DoNotOptimize(layer.forward(h, true)); }, calls);
+      set_quartiles(row, keys.back() + "_fwd" + b, qf);
+      set_quartiles(row, keys.back() + "_train_fwd" + b, qt);
+      layer_fwd_us.push_back(qf[1]);
+      layer_train_fwd_us.push_back(qt[1]);
+      fwd_us += qf[1];
+      train_fwd_us += qt[1];
+      h = layer.forward(h, true);
+    }
+    Rng rng(13);
+    Tensor g = Tensor::uniform(h.shape(), rng, -1.0F, 1.0F);
+    for (std::size_t i = model.layer_count(); i-- > 0;) {
+      nn::Layer& layer = model.layer(i);
+      const auto qb = cpu_us_quartiles(
+          [&] { benchmark::DoNotOptimize(layer.backward(g)); }, calls);
+      set_quartiles(row, keys[i] + "_bwd" + b, qb);
+      bwd_us += qb[1];
+      if (keys[i].ends_with("conv2d")) {
+        std::printf("[runtime] train_step %s b%zu: forward %.1f us, train "
+                    "forward %.1f us, backward %.1f us [q1 %.1f, q3 %.1f]\n",
+                    keys[i].c_str(), m, layer_fwd_us[i],
+                    layer_train_fwd_us[i], qb[1], qb[0], qb[2]);
+      }
+      g = layer.backward(g);
+    }
+    row.set("layers_fwd" + b, fwd_us)
+        .set("layers_train_fwd" + b, train_fwd_us)
+        .set("layers_bwd" + b, bwd_us);
+    std::printf("[runtime] train_step b%zu: %.1f us inference forward, %.1f "
+                "us train forward, %.1f us backward (CPU summed over "
+                "layers)\n",
+                m, fwd_us, train_fwd_us, bwd_us);
+  }
+  model.zero_grad();
+  runtime::set_thread_count(std::max(1U, std::thread::hardware_concurrency()));
+  return row;
+}
+
 // Frozen copies of the seed's kernels (pre-runtime rewrite). The live code
 // paths keep getting faster, so the speedup the runtime layer buys can only
 // be measured against an implementation that stands still; these reproduce
@@ -516,6 +586,7 @@ void write_runtime_json() {
   json.set("pool_dispatch", measure_pool_dispatch());
   json.set("conv_page_faults", conv_faults);
   json.set("served_forward", measure_served_forward(e.wb.model, e.example));
+  json.set("train_step", measure_train_step(e.wb.model, e.example));
 
   // Matmul GFLOP/s: a square GEMM large enough to dwarf dispatch overhead,
   // measured per dispatch path so the microkernel win is a number in the

@@ -30,13 +30,6 @@ void count_gemm(std::size_t m, std::size_t n, std::size_t k, std::uint64_t ns,
   runtime::kernel_stats().on_gemm(flops, bytes, ns, simd);
 }
 
-// Cache-block size for matmul_at_b (the dispatched kernels carry their own
-// blocking inside src/tensor/simd/). kKc panels of the shared dimension stay
-// resident in L1/L2 while a row block streams through. A fixed constant
-// (never derived from the thread count) so blocking does not perturb
-// accumulation order between runs at different DCN_THREADS values.
-constexpr std::size_t kKc = 256;
-
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -81,25 +74,20 @@ Tensor matmul_at_b(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  // C rows are partitioned across the pool; within a row block the p loop
-  // stays outermost so A and B stream row-major, and a[p, i] accesses land in
-  // the same cache lines for the whole i block.
+  // The dispatched A * B kernel reads A by output row, so A^T is laid out
+  // once (m * k floats, small beside the 2mnk product). gemm_f32 keeps
+  // this function's per-element contract: float multiply-then-add, p
+  // ascending, terms with a[p, i] == 0 skipped.
+  std::vector<float> at(m * k);
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t i = 0; i < m; ++i) at[i * k + p] = pa[p * m + i];
+  }
+  const simd::GemmKernels& kern = simd::kernels();
   runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::size_t p1 = std::min(k, p0 + kKc);
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float* arow = pa + p * m;
-        const float* brow = pb + p * n;
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float av = arow[i];
-          if (av == 0.0F) continue;
-          float* crow = pc + i * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
+    kern.gemm_f32(at.data(), k, pb, n, pc, n, i0, i1, n, k);
   });
-  count_gemm(m, n, k, timer.ns(), /*simd=*/false);
+  count_gemm(m, n, k, timer.ns(),
+             simd::active_path() != simd::GemmPath::kGeneric);
   return c;
 }
 
@@ -116,36 +104,32 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  // Wide row blocks amortize a one-off transpose of B, after which the job
-  // is a plain GEMM and goes through the dispatched double-accumulation
-  // kernel. Each output element accumulates over p in ascending order in
-  // double on every path, so the result is bit-identical to the narrow path
-  // below. Below 8 rows the transpose does not pay for itself.
-  if (m >= 8 && n > 1) {
+  // Below 64 rows the dispatched A * B^T kernel reads B's rows in place
+  // (the AVX2 entry transposes 4x4 tiles of B in registers); from 64 rows a
+  // one-off transpose of B pays for itself and the job is a plain
+  // gemm_f64acc. One thread of a 4-vCPU Xeon VM, in place vs transposed, at
+  // 8/14/32/64/256 rows: Dense 300->64 17/32/72/142/575 vs
+  // 36/52/88/151/544 us, Dense 64->10 1.8/3.0/6.4/13.9/52.8 vs
+  // 2.2/3.3/6.3/12.2/44.8 us. Both kernels accumulate each element over p
+  // in ascending order in double, so the two paths give identical bits.
+  const simd::GemmKernels& kern = simd::kernels();
+  if (m < 64 || n == 1) {
+    runtime::parallel_for(
+        0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
+          kern.gemm_f64acc_bt(pa, k, pb, k, pc, n, i0, i1, n, k);
+        });
+  } else {
     std::vector<float> bt(k * n);
     runtime::parallel_for(0, k, n, [&](std::size_t p0, std::size_t p1) {
       for (std::size_t p = p0; p < p1; ++p) {
         for (std::size_t j = 0; j < n; ++j) bt[p * n + j] = pb[j * k + p];
       }
     });
-    const simd::GemmKernels& kern = simd::kernels();
     runtime::parallel_for(
         0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
           kern.gemm_f64acc(pa, k, bt.data(), n, pc, n, i0, i1, n, k);
         });
-    count_gemm(m, n, k, timer.ns(),
-               simd::active_path() != simd::GemmPath::kGeneric);
-    return c;
   }
-  // Narrow shapes: the dispatched A * B^T kernel reads B's rows in place.
-  // Served sub-batches are 1-2 rows, where a transpose of B would cost as
-  // much as the product; the AVX2 entry transposes 4x4 tiles of B in
-  // registers instead. Dense 300->64 at one row, one thread of a 4-vCPU
-  // Xeon VM: ~16 us on the scalar dot loop this replaced, ~5 us here.
-  const simd::GemmKernels& kern = simd::kernels();
-  runtime::parallel_for(0, m, 2 * k * n, [&](std::size_t i0, std::size_t i1) {
-    kern.gemm_f64acc_bt(pa, k, pb, k, pc, n, i0, i1, n, k);
-  });
   count_gemm(m, n, k, timer.ns(),
              simd::active_path() != simd::GemmPath::kGeneric);
   return c;
