@@ -11,6 +11,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace dcn::runtime {
 
@@ -75,6 +76,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop(std::size_t index) {
   tls_in_worker = true;
+  set_thread_name(("dcn-pool-" + std::to_string(index)).c_str());
   WorkerStat& stat = worker_stats_[index];
   for (;;) {
     std::function<void()> task;
@@ -228,6 +230,14 @@ std::size_t thread_count() {
 }
 
 PoolStatsSnapshot pool_stats() { return pool().stats(); }
+
+void set_thread_name(const char* name) {
+#if defined(__linux__)
+  pthread_setname_np(pthread_self(), name);
+#else
+  (void)name;
+#endif
+}
 
 void set_thread_count(std::size_t threads) {
   if (threads == 0) {

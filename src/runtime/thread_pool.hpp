@@ -136,6 +136,11 @@ std::size_t thread_count();
 /// while a parallel_for is in flight; intended for tests and benches.
 void set_thread_count(std::size_t threads);
 
+/// Name the calling thread (shown in /proc/<pid>/task/*/comm, top -H and
+/// debuggers) so per-thread CPU can be split by role. Linux ignores names
+/// over 15 characters; a no-op where the platform has no thread names.
+void set_thread_name(const char* name);
+
 /// Utilization snapshot of the global pool (gauges reset when the pool is
 /// rebuilt via set_thread_count).
 PoolStatsSnapshot pool_stats();

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <vector>
@@ -32,13 +33,16 @@ namespace dcn::serve {
 /// of, and the bookkeeping the metrics layer needs. `trace` is the wire
 /// trace context riding with the request (invalid when the caller sent
 /// none) — carried here so provenance works even when the span tracer is
-/// compiled out.
+/// compiled out. `on_ready` (may be empty) runs on the dispatcher right
+/// after the promise is fulfilled, so an event loop can learn that the
+/// future is ready without blocking on it.
 struct PendingRequest {
   Tensor input;
   std::promise<ServeResult> promise;
   std::chrono::steady_clock::time_point enqueued;
   std::uint64_t sequence = 0;
   obs::TraceContext trace;
+  std::function<void()> on_ready;
 };
 
 class MicroBatcher {

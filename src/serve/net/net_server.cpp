@@ -1,46 +1,29 @@
 #include "serve/net/net_server.hpp"
 
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <mutex>
+#include <optional>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
-
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace dcn::serve::net {
 
 // ---- Internal structures ---------------------------------------------------
 
-/// One accepted connection. The IO thread owns the read side (buffer,
-/// poller membership); the pinned writer owns the write side. The socket
-/// closes when the last shared_ptr drops, so queued responses keep a dying
-/// connection's fd alive exactly as long as they need it.
-struct NetServer::Connection {
-  Socket socket;
-  std::uint64_t id = 0;
-  std::size_t writer = 0;  // pinned writer index (id mod writers)
-  Bytes read_buffer;
-};
-
-/// One unit of write-side work, executed by the connection's pinned writer
-/// in FIFO order — which is frame-arrival order, so responses leave in
-/// request order per connection.
-struct NetServer::Job {
+/// One response owed to a client. A predict slot waits on its shard future;
+/// every other kind is ready at once but, like a predict, is rendered only
+/// when it reaches the head of its connection's FIFO.
+struct NetServer::Slot {
   enum class Kind { kPredict, kMetrics, kHealth, kTrace, kTraceQuery, kError };
   Kind kind = Kind::kError;
-  std::shared_ptr<Connection> conn;
   bool verbose = false;
   std::uint32_t shard = 0;
   std::future<ServeResult> future;  // kPredict only
@@ -53,7 +36,46 @@ struct NetServer::Job {
   obs::TraceContext trace;
   std::uint64_t query_hi = 0;  // kTraceQuery only
   std::uint64_t query_lo = 0;
-  bool close_after = false;  // fatal errors: write, then hang up
+
+  [[nodiscard]] bool ready() const {
+    return kind != Kind::kPredict ||
+           future.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+  }
+};
+
+/// One accepted connection; only the IO thread touches it.
+struct NetServer::Connection {
+  Socket socket;
+  Bytes read_buffer;
+  std::deque<Slot> slots;  // unanswered requests, oldest first
+  Bytes outbound;          // rendered responses; the first `sent` bytes left
+  std::size_t sent = 0;
+  std::size_t frames_out = 0;  // responses in `outbound`
+  // No more reads: EOF, a fatal framing error, or the drain. The connection
+  // closes once its slots are answered and its bytes sent.
+  bool read_closed = false;
+  // Complete frames wait in read_buffer because dispatch hit paused().
+  bool backlog = false;
+
+  [[nodiscard]] std::size_t unsent() const { return outbound.size() - sent; }
+  [[nodiscard]] bool paused() const {
+    return slots.size() >= kMaxPendingSlots || unsent() >= kMaxOutboundBytes;
+  }
+  // Read only once the buffered frames are dispatched, so read_buffer stays
+  // within one read plus one partial frame.
+  [[nodiscard]] bool wants_read() const {
+    return !read_closed && !backlog && !paused();
+  }
+  // Work left that no poll() event will announce: frames to dispatch, or
+  // ready answers that the last round's outbound cap left unrendered.
+  [[nodiscard]] bool runnable() const {
+    return (backlog && !paused()) ||
+           (unsent() == 0 && !slots.empty() && slots.front().ready());
+  }
+  [[nodiscard]] bool done() const {
+    return read_closed && slots.empty() && unsent() == 0;
+  }
 };
 
 namespace {
@@ -108,104 +130,10 @@ std::string trace_query_json(std::uint64_t hi, std::uint64_t lo,
 
 }  // namespace
 
-struct NetServer::Writer {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Job> jobs;
-  bool stop = false;  // exit once (stop && jobs.empty())
-  std::thread thread;
-};
-
-/// Readiness notification over the listen/connection/wake fds. epoll where
-/// available (Linux), a plain poll() loop otherwise or when forced — the
-/// two paths expose identical semantics, so tests exercise both.
-class NetServer::Poller {
- public:
-  explicit Poller(bool force_poll) {
-#if defined(__linux__)
-    if (!force_poll) {
-      epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-      use_epoll_ = epoll_fd_ >= 0;
-    }
-#else
-    (void)force_poll;
-#endif
-  }
-
-  ~Poller() {
-#if defined(__linux__)
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
-  }
-
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
-  void add(int fd) {
-#if defined(__linux__)
-    if (use_epoll_) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-      return;
-    }
-#endif
-    fds_.push_back(fd);
-  }
-
-  void remove(int fd) {
-#if defined(__linux__)
-    if (use_epoll_) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-      return;
-    }
-#endif
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if (fds_[i] == fd) {
-        fds_.erase(fds_.begin() + static_cast<long>(i));
-        return;
-      }
-    }
-  }
-
-  /// Block until at least one registered fd is readable (or has hung up);
-  /// fill `ready` with those fds. Returns spuriously empty on EINTR.
-  void wait(std::vector<int>& ready) {
-    ready.clear();
-#if defined(__linux__)
-    if (use_epoll_) {
-      epoll_event events[64];
-      const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
-      for (int i = 0; i < n; ++i) ready.push_back(events[i].data.fd);
-      return;
-    }
-#endif
-    std::vector<pollfd> pfds;
-    pfds.reserve(fds_.size());
-    for (int fd : fds_) pfds.push_back({fd, POLLIN, 0});
-    const int n = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
-    if (n <= 0) return;
-    for (const pollfd& p : pfds) {
-      if ((p.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        ready.push_back(p.fd);
-      }
-    }
-  }
-
- private:
-#if defined(__linux__)
-  int epoll_fd_ = -1;
-  bool use_epoll_ = false;
-#endif
-  std::vector<int> fds_;
-};
-
 // ---- Lifecycle -------------------------------------------------------------
 
 NetServer::NetServer(ShardRouter& router, NetServerConfig config)
     : router_(&router), config_(config) {
-  if (config_.writers == 0) config_.writers = 1;
   ListenResult listen = listen_loopback(config_.port);
   listen_socket_ = std::move(listen.socket);
   port_ = listen.port;
@@ -220,23 +148,61 @@ NetServer::NetServer(ShardRouter& router, NetServerConfig config)
   set_nonblocking(wake_read_fd_, true);
   set_nonblocking(wake_write_fd_, true);
 
-  poller_ = std::make_unique<Poller>(config_.force_poll);
-  poller_->add(listen_socket_.fd());
-  poller_->add(wake_read_fd_);
+  metrics_source_id_ = obs::registry().add_source(
+      [this](std::vector<obs::Metric>& out) {
+        struct Family {
+          const char* name;
+          const char* help;
+          obs::MetricType type;
+          const std::atomic<std::uint64_t>* value;
+        };
+        const Family families[] = {
+            {"dcn_net_connections_accepted_total", "Connections accepted",
+             obs::MetricType::kCounter, &connections_accepted_},
+            {"dcn_net_frames_received_total", "Request frames received",
+             obs::MetricType::kCounter, &frames_received_},
+            {"dcn_net_responses_sent_total",
+             "Response frames fully written to a socket",
+             obs::MetricType::kCounter, &responses_sent_},
+            {"dcn_net_protocol_errors_total",
+             "Malformed frames, payloads or message types",
+             obs::MetricType::kCounter, &protocol_errors_},
+            {"dcn_net_connections_open", "Open client connections",
+             obs::MetricType::kGauge, &open_connections_},
+            {"dcn_net_pending_responses",
+             "Requests read but not yet answered, over all connections",
+             obs::MetricType::kGauge, &pending_slots_},
+            {"dcn_net_outbound_bytes",
+             "Rendered response bytes the kernel has not yet accepted",
+             obs::MetricType::kGauge, &outbound_bytes_},
+            {"dcn_net_reads_paused",
+             "Connections not being read until their answers drain",
+             obs::MetricType::kGauge, &paused_connections_},
+        };
+        for (const Family& f : families) {
+          out.push_back({f.name, f.help, f.type, "", "",
+                         static_cast<double>(
+                             f.value->load(std::memory_order_relaxed)),
+                         "", 0.0});
+        }
+      });
 
-  writers_.reserve(config_.writers);
-  for (std::size_t i = 0; i < config_.writers; ++i) {
-    auto writer = std::make_unique<Writer>();
-    writer->thread = std::thread([this, w = writer.get()] { writer_loop(*w); });
-    writers_.push_back(std::move(writer));
-  }
   io_thread_ = std::thread([this] { io_loop(); });
 }
 
 NetServer::~NetServer() {
   stop();
+  // Sources run under the registry lock, so after this no scrape can reach
+  // the dying server.
+  obs::registry().remove_source(metrics_source_id_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+}
+
+void NetServer::wake() {
+  const char byte = 1;
+  // Best effort: a full pipe already guarantees a pending wakeup.
+  (void)!::write(wake_write_fd_, &byte, 1);
 }
 
 void NetServer::stop() {
@@ -245,41 +211,20 @@ void NetServer::stop() {
   std::lock_guard<std::mutex> guard(stop_mutex_);
   if (stop_done_) return;
 
-  const auto wake = [this] {
-    const char byte = 1;
-    // Best effort: a full pipe already guarantees a pending wakeup. The
-    // nonblocking pipe write happens under stop_mutex_, which is a
-    // once-guard on this cold shutdown path — no hot-path caller ever
-    // takes it. dcn-lint: allow(...) directives below carry the same
-    // rationale for the joins.
-    // dcn-lint: allow(mutex-hygiene)
-    (void)!::write(wake_write_fd_, &byte, 1);
-  };
-
   // 1. Refuse new predicts; the IO thread closes the listener on wakeup.
   draining_.store(true, std::memory_order_release);
   wake();
-  // 2. Drain the shards: every admitted future completes here.
+  // 2. Drain the shards: every admitted future completes here, and its
+  //    completion callback is done with the wake pipe before this returns.
   router_->shutdown();
-  // 3. Stop the IO thread (no new frames from here on).
-  io_exit_.store(true, std::memory_order_release);
+  // 3. Stop reading; the IO thread sends what is owed and exits, after
+  //    kDrainDeadline at the latest.
+  flushing_.store(true, std::memory_order_release);
   wake();
-  // stop_mutex_ is the shutdown once-guard, not the writer-pool lock;
-  // joining here is the drain contract.
+  // stop_mutex_ is the shutdown once-guard, taken by no hot-path caller;
+  // joining here is the drain contract, bounded by kDrainDeadline.
   // dcn-lint: allow(mutex-hygiene)
   io_thread_.join();
-  // 4. Let the writers flush every queued response, then exit.
-  for (auto& writer : writers_) {
-    std::lock_guard<std::mutex> lock(writer->mutex);
-    writer->stop = true;
-    writer->cv.notify_all();
-  }
-  // Same once-guard; the writers were told to stop above and flush their
-  // queues before exiting.
-  // dcn-lint: allow(mutex-hygiene)
-  for (auto& writer : writers_) writer->thread.join();
-  // 5. Drop the remaining connections (sockets close with the last ref).
-  connections_.clear();
   stopped_.store(true, std::memory_order_release);
   stop_done_ = true;
 }
@@ -306,125 +251,180 @@ HealthInfo NetServer::health_now() const {
 // ---- IO thread -------------------------------------------------------------
 
 void NetServer::io_loop() {
-  std::vector<int> ready;
-  while (!io_exit_.load(std::memory_order_acquire)) {
-    poller_->wait(ready);
-    if (io_exit_.load(std::memory_order_acquire)) return;
+  using Clock = std::chrono::steady_clock;
+  runtime::set_thread_name("dcn-net-io");
+  std::vector<pollfd> pfds;
+  bool busy = false;  // some connection has work it can do at once
+  std::optional<Clock::time_point> drain_deadline;
+  for (;;) {
     if (draining_.load(std::memory_order_acquire) && listen_socket_.valid()) {
-      poller_->remove(listen_socket_.fd());
       listen_socket_.close_fd();
     }
-    for (int fd : ready) {
-      if (fd == wake_read_fd_) {
-        char sink[64];
-        while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
-        }
-        continue;
-      }
-      if (listen_socket_.valid() && fd == listen_socket_.fd()) {
-        accept_ready();
-        continue;
-      }
-      std::shared_ptr<Connection> conn;
-      for (const auto& c : connections_) {
-        if (c->socket.fd() == fd) {
-          conn = c;
-          break;
+    int timeout_ms = busy ? 0 : -1;
+    if (flushing_.load(std::memory_order_acquire)) {
+      if (!drain_deadline) {
+        drain_deadline = Clock::now() + kDrainDeadline;
+        for (const auto& conn : connections_) {
+          conn->read_closed = true;
+          conn->read_buffer.clear();
         }
       }
-      if (conn) handle_readable(conn);
+      std::erase_if(connections_, [](const auto& c) { return c->done(); });
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *drain_deadline - Clock::now());
+      if (connections_.empty() || left.count() <= 0) break;
+      if (!busy) timeout_ms = static_cast<int>(left.count());
     }
+    publish_gauges();
+
+    // Index 0 is the listener, 1 the wake pipe, 2 + i connection i. A
+    // connection with nothing to wait for gets fd -1, which poll() skips.
+    pfds.clear();
+    pfds.push_back({listen_socket_.valid() ? listen_socket_.fd() : -1,
+                    POLLIN, 0});
+    pfds.push_back({wake_read_fd_, POLLIN, 0});
+    for (const auto& conn : connections_) {
+      short events = 0;
+      if (conn->wants_read()) events |= POLLIN;
+      if (conn->unsent() > 0) events |= POLLOUT;
+      pfds.push_back({events != 0 ? conn->socket.fd() : -1, events, 0});
+    }
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms) <
+        0) {
+      continue;  // EINTR
+    }
+
+    if ((pfds[1].revents & POLLIN) != 0) {
+      char sink[64];
+      while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
+      }
+    }
+    // Every connection runs each turn: a wake byte says that some shard
+    // future is ready, not whose.
+    busy = false;
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+      Connection& conn = *connections_[i];
+      const bool readable =
+          (pfds[2 + i].events & POLLIN) != 0 &&
+          (pfds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+      if (readable && !read_ready(conn)) {
+        conn.socket.close_fd();
+        continue;
+      }
+      dispatch_frames(conn);
+      if (!flush(conn)) {
+        conn.socket.close_fd();
+        continue;
+      }
+      busy = busy || conn.runnable();
+    }
+    std::erase_if(connections_, [](const auto& c) {
+      return !c->socket.valid() || c->done();
+    });
+    if ((pfds[0].revents & POLLIN) != 0) accept_ready();
   }
+  connections_.clear();
+  publish_gauges();
+}
+
+void NetServer::publish_gauges() {
+  std::uint64_t slots = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t paused = 0;
+  for (const auto& conn : connections_) {
+    slots += conn->slots.size();
+    bytes += conn->unsent();
+    if (!conn->read_closed && conn->paused()) ++paused;
+  }
+  open_connections_.store(connections_.size(), std::memory_order_relaxed);
+  pending_slots_.store(slots, std::memory_order_relaxed);
+  outbound_bytes_.store(bytes, std::memory_order_relaxed);
+  paused_connections_.store(paused, std::memory_order_relaxed);
 }
 
 void NetServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept4(listen_socket_.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept(listen_socket_.fd(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: accepted everything pending
     }
+    auto conn = std::make_unique<Connection>();
+    conn->socket = Socket(fd);
+    try {
+      set_nonblocking(fd, true);
+    } catch (const std::runtime_error&) {
+      continue;  // fcntl failed: drop (and close) this connection
+    }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->socket = Socket(fd);
-    conn->id = next_conn_id_++;
-    conn->writer = conn->id % writers_.size();
-    poller_->add(fd);
-    connections_.push_back(conn);
+    connections_.push_back(std::move(conn));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void NetServer::drop_connection(const std::shared_ptr<Connection>& conn) {
-  poller_->remove(conn->socket.fd());
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    if (connections_[i] == conn) {
-      connections_.erase(connections_.begin() + static_cast<long>(i));
-      return;
+bool NetServer::read_ready(Connection& conn) {
+  // One read per turn, so one busy sender cannot starve the others.
+  std::uint8_t buf[65536];
+  for (;;) {
+    const ssize_t n = ::recv(conn.socket.fd(), buf, sizeof(buf), 0);
+    if (n > 0) {
+      conn.read_buffer.insert(conn.read_buffer.end(), buf, buf + n);
+      return true;
     }
+    if (n == 0) {
+      // EOF: answer what was already read. A partial frame never
+      // completes and is dropped with the connection.
+      conn.read_closed = true;
+      return true;
+    }
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK;  // else ECONNRESET & co.
   }
 }
 
-void NetServer::handle_readable(const std::shared_ptr<Connection>& conn) {
-  char buf[65536];
-  for (;;) {
-    const ssize_t n = ::recv(conn->socket.fd(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->read_buffer.insert(conn->read_buffer.end(), buf, buf + n);
-      continue;
-    }
-    if (n == 0) {
-      // Clean EOF — also the mid-frame-disconnect case: whatever partial
-      // frame sits in read_buffer is discarded with the connection.
-      drop_connection(conn);
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    drop_connection(conn);  // ECONNRESET and friends
-    return;
-  }
-
-  for (;;) {
+void NetServer::dispatch_frames(Connection& conn) {
+  conn.backlog = false;
+  while (!conn.paused()) {
     Frame frame;
     try {
-      if (!try_extract_frame(conn->read_buffer, frame,
+      if (!try_extract_frame(conn.read_buffer, frame,
                              config_.max_frame_bytes)) {
         return;
       }
     } catch (const ProtocolError& e) {
       // The stream is no longer delimited: answer BadFrame, stop reading,
-      // hang up after the error flushes.
+      // hang up once the error is sent.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      drop_connection(conn);
-      Job job;
-      job.kind = Job::Kind::kError;
-      job.code = ErrorCode::kBadFrame;
-      job.message = e.what();
-      job.close_after = true;
-      enqueue_job(conn, std::move(job));
+      conn.read_closed = true;
+      conn.read_buffer.clear();
+      Slot slot;
+      slot.code = ErrorCode::kBadFrame;
+      slot.message = e.what();
+      conn.slots.push_back(std::move(slot));
       return;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     handle_frame(conn, std::move(frame));
   }
+  // Paused; whatever is left (possibly nothing) waits for room.
+  conn.backlog = !conn.read_buffer.empty();
 }
 
-void NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
-                             Frame frame) {
+void NetServer::handle_frame(Connection& conn, Frame frame) {
   DCN_TRACE_SPAN("net.frame", "serve.net");
+  const auto push = [&conn](Slot::Kind kind) -> Slot& {
+    conn.slots.emplace_back().kind = kind;
+    return conn.slots.back();
+  };
   const auto send_error = [&](ErrorCode code, std::uint32_t retry_ms,
                               std::string message,
                               const obs::TraceContext& trace = {}) {
-    Job job;
-    job.kind = Job::Kind::kError;
-    job.code = code;
-    job.retry_after_ms = retry_ms;
-    job.message = std::move(message);
-    job.trace = trace;
-    enqueue_job(conn, std::move(job));
+    Slot& slot = push(Slot::Kind::kError);
+    slot.code = code;
+    slot.retry_after_ms = retry_ms;
+    slot.message = std::move(message);
+    slot.trace = trace;
   };
 
   switch (frame.type) {
@@ -449,7 +449,8 @@ void NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
       DCN_TRACE_SPAN("net.dispatch", "serve.net");
       RouterTicket ticket;
       try {
-        ticket = router_->submit(std::move(request.input), request.trace);
+        ticket = router_->submit(std::move(request.input), request.trace,
+                                 [this] { wake(); });
       } catch (const std::exception&) {
         send_error(ErrorCode::kShuttingDown, 0, "server draining",
                    request.trace);
@@ -461,44 +462,35 @@ void NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
                    request.trace);
         return;
       }
-      Job job;
-      job.kind = Job::Kind::kPredict;
-      job.verbose = frame.type == MsgType::kPredictVerboseRequest;
-      job.shard = static_cast<std::uint32_t>(ticket.shard);
-      job.future = std::move(ticket.future);
-      job.trace = request.trace;
-      enqueue_job(conn, std::move(job));
+      Slot& slot = push(Slot::Kind::kPredict);
+      slot.verbose = frame.type == MsgType::kPredictVerboseRequest;
+      slot.shard = static_cast<std::uint32_t>(ticket.shard);
+      slot.future = std::move(ticket.future);
+      slot.trace = request.trace;
       return;
     }
-    case MsgType::kMetricsRequest: {
-      Job job;
-      job.kind = Job::Kind::kMetrics;
-      enqueue_job(conn, std::move(job));
+    case MsgType::kMetricsRequest:
+      push(Slot::Kind::kMetrics);
       return;
-    }
-    case MsgType::kHealthRequest: {
-      Job job;
-      job.kind = Job::Kind::kHealth;
-      enqueue_job(conn, std::move(job));
+    case MsgType::kHealthRequest:
+      push(Slot::Kind::kHealth);
       return;
-    }
-    case MsgType::kTraceRequest: {
-      Job job;
-      job.kind = Job::Kind::kTrace;
-      enqueue_job(conn, std::move(job));
+    case MsgType::kTraceRequest:
+      push(Slot::Kind::kTrace);
       return;
-    }
     case MsgType::kTraceQueryRequest: {
-      Job job;
-      job.kind = Job::Kind::kTraceQuery;
+      std::uint64_t hi = 0;
+      std::uint64_t lo = 0;
       try {
-        decode_trace_query(frame.payload, job.query_hi, job.query_lo);
+        decode_trace_query(frame.payload, hi, lo);
       } catch (const ProtocolError& e) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         send_error(ErrorCode::kBadPayload, 0, e.what());
         return;
       }
-      enqueue_job(conn, std::move(job));
+      Slot& slot = push(Slot::Kind::kTraceQuery);
+      slot.query_hi = hi;
+      slot.query_lo = lo;
       return;
     }
     default: {
@@ -513,83 +505,80 @@ void NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
   }
 }
 
-// ---- Writers ---------------------------------------------------------------
+// ---- Responses -------------------------------------------------------------
 
-void NetServer::enqueue_job(const std::shared_ptr<Connection>& conn,
-                            Job job) {
-  job.conn = conn;
-  Writer& writer = *writers_[conn->writer];
-  std::lock_guard<std::mutex> lock(writer.mutex);
-  writer.jobs.push_back(std::move(job));
-  writer.cv.notify_one();
+Bytes NetServer::render(Slot& slot) {
+  switch (slot.kind) {
+    case Slot::Kind::kPredict:
+      try {
+        const ServeResult result = slot.future.get();
+        return slot.verbose
+                   ? encode_frame(MsgType::kPredictVerboseResponse,
+                                  encode_verbose_response(result, slot.shard,
+                                                          slot.trace))
+                   : encode_frame(MsgType::kPredictResponse,
+                                  encode_predict_response(result.label));
+      } catch (const std::exception& e) {
+        // The shard rejected the batch — in practice a tensor the model
+        // cannot take (everything else is caught before submit).
+        return encode_frame(
+            MsgType::kErrorResponse,
+            encode_error(ErrorCode::kBadShape, 0, e.what(), slot.trace));
+      }
+    case Slot::Kind::kMetrics:
+      return encode_frame(MsgType::kMetricsResponse,
+                          encode_text(obs::registry().render_prometheus()));
+    case Slot::Kind::kHealth:
+      return encode_frame(MsgType::kHealthResponse,
+                          encode_health(health_now()));
+    case Slot::Kind::kTrace:
+      return encode_frame(MsgType::kTraceResponse,
+                          encode_text(obs::trace_export()));
+    case Slot::Kind::kTraceQuery:
+      return encode_frame(
+          MsgType::kTraceQueryResponse,
+          encode_text(trace_query_json(
+              slot.query_hi, slot.query_lo,
+              router_->decision_records(slot.query_hi, slot.query_lo))));
+    case Slot::Kind::kError:
+      break;
+  }
+  return encode_frame(MsgType::kErrorResponse,
+                      encode_error(slot.code, slot.retry_after_ms,
+                                   slot.message, slot.trace));
 }
 
-void NetServer::writer_loop(Writer& writer) {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(writer.mutex);
-      writer.cv.wait(lock,
-                     [&writer] { return writer.stop || !writer.jobs.empty(); });
-      if (writer.jobs.empty()) return;  // stop requested and fully flushed
-      job = std::move(writer.jobs.front());
-      writer.jobs.pop_front();
-    }
-
-    Bytes frame;
-    switch (job.kind) {
-      case Job::Kind::kPredict: {
-        try {
-          const ServeResult result = job.future.get();
-          frame = job.verbose
-                      ? encode_frame(MsgType::kPredictVerboseResponse,
-                                     encode_verbose_response(result, job.shard,
-                                                             job.trace))
-                      : encode_frame(MsgType::kPredictResponse,
-                                     encode_predict_response(result.label));
-        } catch (const std::exception& e) {
-          // The shard rejected the batch — in practice a tensor the model
-          // cannot take (everything else is caught before submit).
-          frame = encode_frame(
-              MsgType::kErrorResponse,
-              encode_error(ErrorCode::kBadShape, 0, e.what(), job.trace));
-        }
-        break;
-      }
-      case Job::Kind::kMetrics:
-        frame = encode_frame(MsgType::kMetricsResponse,
-                             encode_text(obs::registry().render_prometheus()));
-        break;
-      case Job::Kind::kHealth:
-        frame = encode_frame(MsgType::kHealthResponse,
-                             encode_health(health_now()));
-        break;
-      case Job::Kind::kTrace:
-        frame = encode_frame(MsgType::kTraceResponse,
-                             encode_text(obs::trace_export()));
-        break;
-      case Job::Kind::kTraceQuery:
-        frame = encode_frame(
-            MsgType::kTraceQueryResponse,
-            encode_text(trace_query_json(
-                job.query_hi, job.query_lo,
-                router_->decision_records(job.query_hi, job.query_lo))));
-        break;
-      case Job::Kind::kError:
-        frame = encode_frame(
-            MsgType::kErrorResponse,
-            encode_error(job.code, job.retry_after_ms, job.message,
-                         job.trace));
-        break;
-    }
-
-    if (send_frame(job.conn->socket.fd(), frame)) {
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (job.close_after) {
-      ::shutdown(job.conn->socket.fd(), SHUT_RDWR);
-    }
+bool NetServer::flush(Connection& conn) {
+  // One round per turn: render at most up to the outbound cap, so one
+  // connection's answers cannot hold up every other connection's turn.
+  conn.outbound.erase(conn.outbound.begin(),
+                      conn.outbound.begin() + static_cast<long>(conn.sent));
+  conn.sent = 0;
+  while (!conn.slots.empty() && conn.outbound.size() < kMaxOutboundBytes &&
+         conn.slots.front().ready()) {
+    const Bytes frame = render(conn.slots.front());
+    conn.slots.pop_front();
+    conn.outbound.insert(conn.outbound.end(), frame.begin(), frame.end());
+    ++conn.frames_out;
   }
+  while (conn.sent < conn.outbound.size()) {
+    const ssize_t n =
+        ::send(conn.socket.fd(), conn.outbound.data() + conn.sent,
+               conn.outbound.size() - conn.sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn.sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    // EAGAIN: the rest waits for POLLOUT. Anything else: the peer is
+    // gone, and its unanswered slots go with the connection.
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  responses_sent_.fetch_add(conn.frames_out, std::memory_order_relaxed);
+  conn.frames_out = 0;
+  conn.outbound.clear();
+  conn.sent = 0;
+  return true;
 }
 
 }  // namespace dcn::serve::net

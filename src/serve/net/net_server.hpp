@@ -1,30 +1,36 @@
 // NetServer — the socket front end over ShardRouter.
 //
-// Threading model (DESIGN.md "Network serving tier"):
+// Threading model (DESIGN.md "Network serving tier"): one IO thread does
+// every piece of socket work. Each turn it rebuilds a pollfd array — the
+// listener, the wake pipe, then connection i at index 2 + i — waits in
+// poll(), and then:
 //
-//   IO thread     one epoll (fallback: poll) loop owns the listen socket and
-//                 every connection's read side: accept, nonblocking reads,
-//                 frame reassembly, request dispatch into the router.
-//                 Decoding and router placement are cheap, so a single IO
-//                 thread keeps frame handling strictly ordered per
-//                 connection with no read-side locking at all.
-//   writer pool   each connection is pinned to one writer (conn_id mod
-//                 workers). Writers pop response jobs FIFO, block on the
-//                 shard future when the job carries one, encode, and write.
-//                 One writer per connection means one writer per socket —
-//                 responses can never interleave mid-frame — and FIFO order
-//                 means responses leave in request order, which the
-//                 pipelined client relies on.
-//   shard side    the router's DcnServers each run their own dispatcher
-//                 (PR 2); all heavy inference lands on runtime::pool().
+//   reads     accepts new connections; reads readable ones into their frame
+//             buffers and turns each complete frame into a response slot at
+//             the back of that connection's FIFO. A predict goes to the
+//             router, whose shard calls back once the answer is ready by
+//             writing one byte to the wake pipe.
+//   writes    renders the ready slots at the head of each FIFO into the
+//             connection's outbound buffer and sends it with a nonblocking
+//             send(); bytes left over after EAGAIN wait for POLLOUT.
+//
+// Only the head slot renders, so responses leave in request order per
+// connection, and a Health answer reports the queue depth at the moment it
+// is sent. A connection that holds kMaxPendingSlots unanswered requests or
+// kMaxOutboundBytes unsent bytes is not read until it drains, so TCP pushes
+// back on its sender: a client that never reads stalls only itself. The
+// shards' DcnServer dispatchers run the inference on runtime::pool().
 //
 // Shutdown drains: stop() refuses new predicts (typed ShuttingDown errors),
 // closes the listener, drains every shard (completing admitted futures),
-// lets the writers flush every queued response, then joins the IO thread.
-// Requests admitted before stop() always get their answer.
+// then the IO thread stops reading and flushes every admitted answer. It
+// exits once all are sent, or after kDrainDeadline, closing whatever is
+// left. Requests admitted before stop() get their answer unless their
+// client stops reading for the whole deadline.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,20 +45,28 @@ namespace dcn::serve::net {
 struct NetServerConfig {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   std::uint16_t port = 0;
-  /// Response writer threads. Each connection is pinned to one writer, so
-  /// this bounds how many connections can block on shard futures at once.
-  std::size_t writers = 2;
   /// Per-frame size cap; a length prefix above it is a fatal framing error.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Use the portable poll() loop even where epoll is available (the epoll
-  /// path is the default on Linux; tests cover both).
-  bool force_poll = false;
 };
 
 class NetServer {
  public:
-  /// Binds, listens, and starts the IO + writer threads. The router must
-  /// outlive the server. Throws std::runtime_error on bind failure.
+  /// Unanswered requests one connection may hold before it stops being
+  /// read. Above the deepest pipeline any client here sends on one
+  /// connection (8), with room for a replay that keeps a full micro-batch
+  /// per shard in flight.
+  static constexpr std::size_t kMaxPendingSlots = 64;
+  /// Rendered but unsent bytes one connection may hold before it stops
+  /// being read and rendering waits. Several Metrics expositions or ~80
+  /// MNIST-sized verbose answers; beyond this the kernel's own socket
+  /// buffer is already full and more bytes would only wait in ours.
+  static constexpr std::size_t kMaxOutboundBytes = 256 * 1024;
+  /// How long stop() waits, once the shards are drained, for clients to
+  /// read their answers before closing their connections.
+  static constexpr std::chrono::milliseconds kDrainDeadline{2000};
+
+  /// Binds, listens, and starts the IO thread. The router must outlive the
+  /// server. Throws std::runtime_error on bind failure.
   NetServer(ShardRouter& router, NetServerConfig config = {});
   ~NetServer();
 
@@ -80,18 +94,18 @@ class NetServer {
   [[nodiscard]] Stats stats() const;
 
  private:
+  struct Slot;
   struct Connection;
-  struct Job;
-  struct Writer;
-  class Poller;
 
   void io_loop();
-  void handle_readable(const std::shared_ptr<Connection>& conn);
-  void handle_frame(const std::shared_ptr<Connection>& conn, Frame frame);
   void accept_ready();
-  void enqueue_job(const std::shared_ptr<Connection>& conn, Job job);
-  void writer_loop(Writer& writer);
-  void drop_connection(const std::shared_ptr<Connection>& conn);
+  bool read_ready(Connection& conn);
+  void dispatch_frames(Connection& conn);
+  void handle_frame(Connection& conn, Frame frame);
+  Bytes render(Slot& slot);
+  bool flush(Connection& conn);
+  void publish_gauges();
+  void wake();
   HealthInfo health_now() const;
 
   ShardRouter* router_;
@@ -101,24 +115,27 @@ class NetServer {
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
 
-  std::atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};  // refuse predicts, close the listener
+  std::atomic<bool> flushing_{false};  // shards drained: stop reading, flush
   std::atomic<bool> stopped_{false};
-  std::atomic<bool> io_exit_{false};
   std::mutex stop_mutex_;  // serializes stop() (destructor vs. explicit call)
   bool stop_done_ = false;
 
+  // Counters (NetServer::Stats) and gauges (dcn_net_*), written by the IO
+  // thread and read by stats() and the registry source; relaxed atomics.
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> responses_sent_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<std::uint64_t> open_connections_{0};
+  std::atomic<std::uint64_t> pending_slots_{0};
+  std::atomic<std::uint64_t> outbound_bytes_{0};
+  std::atomic<std::uint64_t> paused_connections_{0};
+  std::size_t metrics_source_id_ = 0;  // handle in obs::registry()
 
-  std::unique_ptr<Poller> poller_;
-  // Connections the IO thread is reading; keyed by fd. Only the IO thread
-  // mutates it, but stop() reads it after the IO thread exits.
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::uint64_t next_conn_id_ = 0;
+  // Owned and touched by the IO thread only.
+  std::vector<std::unique_ptr<Connection>> connections_;
 
-  std::vector<std::unique_ptr<Writer>> writers_;
   std::thread io_thread_;
 };
 

@@ -89,16 +89,18 @@ ShardRouter::~ShardRouter() {
   obs::registry().remove_source(metrics_source_id_);
 }
 
-RouterTicket ShardRouter::submit(Tensor input, const obs::TraceContext& trace) {
+RouterTicket ShardRouter::submit(Tensor input, const obs::TraceContext& trace,
+                                 std::function<void()> on_ready) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (shutdown_) {
     throw std::runtime_error("ShardRouter: submit after shutdown");
   }
-  return admit_locked(std::move(input), trace);
+  return admit_locked(std::move(input), trace, std::move(on_ready));
 }
 
 RouterTicket ShardRouter::admit_locked(Tensor input,
-                                       const obs::TraceContext& trace) {
+                                       const obs::TraceContext& trace,
+                                       std::function<void()> on_ready) {
   update_ewma_locked();
   const AdmissionConfig& adm = config_.admission;
   RouterTicket ticket;
@@ -136,7 +138,8 @@ RouterTicket ShardRouter::admit_locked(Tensor input,
   }
 
   ++round_robin_;
-  ticket.future = servers_[shard]->submit(std::move(input), trace);
+  ticket.future =
+      servers_[shard]->submit(std::move(input), trace, std::move(on_ready));
   ticket.admitted = true;
   ++admitted_;
   return ticket;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -93,7 +94,10 @@ class ShardRouter {
   /// std::runtime_error after shutdown(). A valid `trace` rides with the
   /// request into the shard's DcnServer (spans, DecisionRecord, exemplars);
   /// on a shed it attributes the dcn_attack_sheds_total sample instead.
-  RouterTicket submit(Tensor input, const obs::TraceContext& trace = {});
+  /// `on_ready` goes with an admitted request to DcnServer::submit; a shed
+  /// never calls it.
+  RouterTicket submit(Tensor input, const obs::TraceContext& trace = {},
+                      std::function<void()> on_ready = {});
 
   /// Drain every shard. Idempotent; also called by the destructor. Pending
   /// admitted futures complete before this returns.
@@ -136,7 +140,8 @@ class ShardRouter {
   [[nodiscard]] eval::JsonObject metrics_json() const;
 
  private:
-  RouterTicket admit_locked(Tensor input, const obs::TraceContext& trace);
+  RouterTicket admit_locked(Tensor input, const obs::TraceContext& trace,
+                            std::function<void()> on_ready);
   void update_ewma_locked();
   std::size_t pick_shard_locked() const;
 

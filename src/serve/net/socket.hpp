@@ -2,7 +2,7 @@
 // listen/connect, and blocking framed I/O built on the protocol codec.
 //
 // Everything here is synchronous and EINTR-safe; the event-driven side
-// (nonblocking reads, epoll) lives in net_server.cpp. The client, the tests,
+// (nonblocking reads and writes, poll) lives in net_server.cpp. The client, the tests,
 // and the daemon's probe mode all talk through these helpers so framing
 // bugs have exactly one home.
 #pragma once

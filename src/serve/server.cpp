@@ -8,6 +8,7 @@
 #include "core/corrector_stats.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace dcn::serve {
 
@@ -31,7 +32,10 @@ DcnServer::DcnServer(core::Dcn& dcn, ServerConfig config)
           metrics_.collect(out, batcher_.depth());
         });
   }
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  dispatcher_ = std::thread([this] {
+    runtime::set_thread_name("dcn-dispatch");
+    dispatch_loop();
+  });
 }
 
 DcnServer::~DcnServer() {
@@ -43,12 +47,9 @@ DcnServer::~DcnServer() {
   }
 }
 
-std::future<ServeResult> DcnServer::submit(Tensor input) {
-  return submit(std::move(input), obs::TraceContext{});
-}
-
 std::future<ServeResult> DcnServer::submit(Tensor input,
-                                           const obs::TraceContext& trace) {
+                                           const obs::TraceContext& trace,
+                                           std::function<void()> on_ready) {
   // Install the request's trace context for the submit span, so the
   // enqueue-side work stitches into the caller's cross-process trace.
   obs::ScopedTraceContext trace_scope(trace);
@@ -58,6 +59,7 @@ std::future<ServeResult> DcnServer::submit(Tensor input,
   request.enqueued = Clock::now();
   request.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   request.trace = trace;
+  request.on_ready = std::move(on_ready);
   std::future<ServeResult> future = request.promise.get_future();
   if (!batcher_.push(request)) {
     metrics_.on_reject();
@@ -110,7 +112,10 @@ void DcnServer::serve_flush(MicroBatcher::Flush flush) {
     // Shape mismatch inside the batch or a failure in the model: every
     // requester of this flush gets the exception instead of a result.
     const std::exception_ptr error = std::current_exception();
-    for (PendingRequest& r : flush.requests) r.promise.set_exception(error);
+    for (PendingRequest& r : flush.requests) {
+      r.promise.set_exception(error);
+      if (r.on_ready) r.on_ready();
+    }
     return;
   }
 
@@ -147,6 +152,7 @@ void DcnServer::serve_flush(MicroBatcher::Flush flush) {
       while (records_.size() > config_.decision_ring) records_.pop_front();
     }
     r.promise.set_value(result);
+    if (r.on_ready) r.on_ready();
   }
 }
 

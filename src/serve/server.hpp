@@ -4,8 +4,8 @@
 // thread coalesces the queue into timed micro-batches (MicroBatcher) and
 // runs each through the batched Dcn::predict_verbose path, which spreads
 // the forward pass and any corrector votes across the runtime thread pool.
-// There is no second pool: the dispatcher is the only thread the server
-// adds, and all heavy lifting happens on runtime::pool().
+// There is no second pool: the dispatcher (named "dcn-dispatch") is the only
+// thread the server adds, and all heavy lifting happens on runtime::pool().
 //
 // Dataflow:
 //
@@ -26,6 +26,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -54,11 +55,14 @@ class DcnServer {
 
   /// Enqueue one input (shape = one example, no batch axis; all requests
   /// must share one shape). Returns the future of the response. Throws
-  /// std::runtime_error after shutdown(). The trace overload attaches a
-  /// wire trace context: its spans join that trace, its DecisionRecord is
+  /// std::runtime_error after shutdown(). A valid `trace` attaches a wire
+  /// trace context: its spans join that trace, its DecisionRecord is
   /// queryable by that id, and it seeds metric exemplars when sampled.
-  std::future<ServeResult> submit(Tensor input);
-  std::future<ServeResult> submit(Tensor input, const obs::TraceContext& trace);
+  /// `on_ready`, when set, runs on the dispatcher thread once the future is
+  /// ready (value or exception); it must be cheap and must not block.
+  std::future<ServeResult> submit(Tensor input,
+                                  const obs::TraceContext& trace = {},
+                                  std::function<void()> on_ready = {});
 
   /// Stop accepting requests, serve everything still queued, and join the
   /// dispatcher. Idempotent; also called by the destructor.

@@ -3,12 +3,21 @@
 // sockets (partial writes, zero-length/oversized frames, unknown types,
 // mid-frame disconnects), the loopback-vs-in-process bit-identity guarantee,
 // shutdown drain over sockets, shard-routing determinism, admission control
-// (queue watermark + corrector-burst EWMA), and the serving observability
-// residuals (histogram exposition, ring-buffer tracing, span sampling).
+// (queue watermark + corrector-burst EWMA), the serving observability
+// residuals (histogram exposition, ring-buffer tracing, span sampling), and
+// hostile clients (never reading, partial frame then silence, reset
+// mid-reply; the byte-at-a-time sender is the split-writes case).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -434,19 +443,30 @@ TEST(NetServe, LoopbackMatchesInProcessBitForBit) {
 }
 
 TEST(NetServe, SplitWritesReassembleIntoOneFrame) {
+  Stack in_process;
+  serve::DcnServer reference(in_process.dcn, {.register_metrics = false});
   NetFixture net(1);
+  const Tensor input = make_input(7);
+  const serve::ServeResult expected = reference.submit(input).get();
+  reference.shutdown();
+
   Socket raw = connect_loopback(net.server->port());
-  const Bytes frame = encode_predict_request(make_input(7), false);
+  const Bytes frame = encode_predict_request(input, /*verbose=*/true);
   // Trickle the frame a byte at a time across many TCP segments; the IO
-  // thread must reassemble it no matter how the reads split.
+  // thread must reassemble it no matter how the reads split, and answer
+  // exactly what the in-process server does.
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(write_all(raw.fd(), &byte, 1));
     std::this_thread::sleep_for(200us);
   }
   Frame response;
   ASSERT_TRUE(recv_frame(raw.fd(), response));
-  EXPECT_EQ(response.type, MsgType::kPredictResponse);
-  EXPECT_LT(decode_predict_response(response.payload), 4U);
+  ASSERT_EQ(response.type, MsgType::kPredictVerboseResponse);
+  const ServeNetResult got = decode_verbose_response(response.payload);
+  EXPECT_EQ(got.result.label, expected.label);
+  EXPECT_EQ(got.result.dnn_label, expected.dnn_label);
+  EXPECT_EQ(got.result.corrector_samples, expected.corrector_samples);
+  EXPECT_EQ(net.server->stats().frames_received, 1U);
 }
 
 TEST(NetServe, ZeroLengthFrameIsFatalToTheConnection) {
@@ -669,6 +689,19 @@ TEST(NetServe, MetricsScrapeExposesHistogramsAndRouterFamilies) {
   EXPECT_NE(text.find("dcn_router_admitted_total"), std::string::npos);
   EXPECT_NE(text.find("dcn_router_shed_total{reason=\"queue_depth\"}"),
             std::string::npos);
+  // The socket tier's own families. The gauges are published at the top of
+  // the IO turn that reads the Metrics frame: the predict is answered, and
+  // nothing is queued or paused.
+  for (const char* sample : {"dcn_net_connections_accepted_total 1\n",
+                             "dcn_net_frames_received_total 2\n",
+                             "dcn_net_responses_sent_total 1\n",
+                             "dcn_net_protocol_errors_total 0\n",
+                             "dcn_net_connections_open 1\n",
+                             "dcn_net_pending_responses 0\n",
+                             "dcn_net_outbound_bytes 0\n",
+                             "dcn_net_reads_paused 0\n"}) {
+    EXPECT_NE(text.find(sample), std::string::npos) << "missing " << sample;
+  }
 }
 
 TEST(NetServe, HealthAndTraceFramesRoundTrip) {
@@ -1074,15 +1107,185 @@ TEST(NetServe, TraceQueryStitchesTheCrossProcessSpanTree) {
   obs::trace_clear();
 }
 
-TEST(NetServe, PollFallbackServesIdentically) {
-  // The portable poll() loop must behave exactly like the epoll path.
-  NetFixture net(1, {}, {.force_poll = true});
+// ---- Hostile clients ----------------------------------------------------------
+// Every wait below is bounded (poll() with a timeout, stop() on a watched
+// thread), so a server that stalls fails these tests instead of hanging the
+// suite.
+
+constexpr auto kReplyBound = 1000ms;
+
+/// One response frame from a blocking socket, or false after `timeout`.
+bool recv_within(int fd, Frame& out, std::chrono::milliseconds timeout) {
+  pollfd p{fd, POLLIN, 0};
+  if (::poll(&p, 1, static_cast<int>(timeout.count())) <= 0) return false;
+  return recv_frame(fd, out);
+}
+
+/// A Health round trip on a fresh connection, answered within `bound`.
+bool health_within(std::uint16_t port, std::chrono::milliseconds bound) {
+  Socket probe = connect_loopback(port);
+  const Bytes request = encode_frame(MsgType::kHealthRequest, {});
+  if (!write_all(probe.fd(), request.data(), request.size())) return false;
+  Frame reply;
+  return recv_within(probe.fd(), reply, bound) &&
+         reply.type == MsgType::kHealthResponse;
+}
+
+/// The value of an unlabelled sample in a Prometheus exposition, or -1.
+double sample_value(const std::string& text, const std::string& name) {
+  const std::size_t at = text.find("\n" + name + " ");
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + name.size() + 2, nullptr);
+}
+
+/// Pipelines Metrics requests (length 1, type 0x03) on a nonblocking socket
+/// until the kernel refuses more, never reading a reply. Returns the bytes
+/// sent; capped so that a server which reads without bound cannot keep the
+/// client sending forever.
+std::size_t flood_metrics_until_eagain(int fd) {
+  set_nonblocking(fd, true);
+  const Bytes one = encode_frame(MsgType::kMetricsRequest, {});
+  Bytes chunk;
+  for (int i = 0; i < 4096; ++i) {
+    chunk.insert(chunk.end(), one.begin(), one.end());
+  }
+  std::size_t total = 0;
+  std::size_t offset = 0;  // frames stay whole across partial sends
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (total < (64U << 20) && std::chrono::steady_clock::now() < give_up) {
+    const ssize_t n = ::send(fd, chunk.data() + offset, chunk.size() - offset,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      total += static_cast<std::size_t>(n);
+      offset = (offset + static_cast<std::size_t>(n)) % chunk.size();
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    break;  // EAGAIN
+  }
+  return total;
+}
+
+/// Runs server.stop() on a watched thread and returns how long it took. A
+/// stop() still running after `bound` fails the test and ends the process,
+/// since the fixture's destructor would otherwise wait on it forever.
+std::chrono::milliseconds timed_stop(NetServer& server,
+                                     std::chrono::milliseconds bound) {
+  const auto start = std::chrono::steady_clock::now();
+  // A watchdog, not compute: the test thread must stay free to time out.
+  // dcn-lint: allow(raw-thread)
+  auto done = std::async(std::launch::async, [&server] { server.stop(); });
+  if (done.wait_for(bound) != std::future_status::ready) {
+    ADD_FAILURE() << "stop() still running after " << bound.count() << " ms";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+TEST(NetFault, NeverReadingClientStallsOnlyItself) {
+  NetFixture net(1);
+  // Two never-reading connections, so that a design pinning connections to
+  // two response writers by id would put the probe behind one of them.
+  // A small receive window makes the server meet a full socket after a few
+  // answers rather than after megabytes of autotuned kernel buffer, which
+  // keeps the test's length the same on every host.
+  std::vector<Socket> hostile;
+  for (int i = 0; i < 2; ++i) {
+    hostile.push_back(connect_loopback(net.server->port()));
+    const int window = 16 * 1024;
+    ASSERT_EQ(::setsockopt(hostile.back().fd(), SOL_SOCKET, SO_RCVBUF,
+                           &window, sizeof(window)),
+              0);
+    EXPECT_GT(flood_metrics_until_eagain(hostile.back().fd()), 0U);
+  }
+
+  EXPECT_TRUE(health_within(net.server->port(), kReplyBound))
+      << "a fresh connection's Health was not answered within 1 s";
+
+  // Both flooders end up not being read, holding at most the outbound cap
+  // plus the one Metrics answer rendered past it. No ASSERT before the timed
+  // stop() below: returning early would leave a stalled drain to the
+  // fixture's destructor.
+  Socket scraper = connect_loopback(net.server->port());
+  const Bytes request = encode_frame(MsgType::kMetricsRequest, {});
+  std::string text;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    Frame reply;
+    if (!write_all(scraper.fd(), request.data(), request.size()) ||
+        !recv_within(scraper.fd(), reply, kReplyBound)) {
+      ADD_FAILURE() << "scrape not answered within 1 s";
+      break;
+    }
+    text = decode_text(reply.payload);
+    if (sample_value(text, "dcn_net_reads_paused") >= 2.0) break;
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_GE(sample_value(text, "dcn_net_reads_paused"), 2.0) << text;
+  const double bytes = sample_value(text, "dcn_net_outbound_bytes");
+  EXPECT_GE(bytes, 2.0 * NetServer::kMaxOutboundBytes);
+  EXPECT_LE(bytes, 2.0 * (NetServer::kMaxOutboundBytes + text.size() + 4096));
+  EXPECT_LE(sample_value(text, "dcn_net_pending_responses"),
+            2.0 * NetServer::kMaxPendingSlots + 1);
+
+  // The flooders never read, so the drain closes them at its deadline.
+  const auto took =
+      timed_stop(*net.server, NetServer::kDrainDeadline + kReplyBound);
+  EXPECT_GE(took, NetServer::kDrainDeadline - 100ms);
+}
+
+TEST(NetFault, PartialFrameThenSilenceDoesNotBlockOthers) {
+  NetFixture net(1);
+  Socket silent = connect_loopback(net.server->port());
+  const Bytes frame = encode_predict_request(make_input(72), false);
+  ASSERT_TRUE(write_all(silent.fd(), frame.data(), frame.size() / 2));
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(health_within(net.server->port(), kReplyBound));
+  }
   DcnClient client = DcnClient::connect(net.server->port());
-  EXPECT_LT(client.predict(make_input(51)), 4U);
-  const HealthInfo health = client.health();
-  EXPECT_EQ(health.state, 1);
-  EXPECT_EQ(health.shards, 1);
-  EXPECT_GE(net.server->stats().frames_received, 2U);
+  EXPECT_LT(client.predict(make_input(73)), 4U);
+
+  // Nothing is owed to the silent peer, so the drain does not wait on it.
+  EXPECT_LT(timed_stop(*net.server, NetServer::kDrainDeadline + kReplyBound),
+            NetServer::kDrainDeadline);
+}
+
+TEST(NetFault, ResetMidReplyLeavesTheServerServing) {
+  NetFixture net(1);
+  {
+    Socket doomed = connect_loopback(net.server->port());
+    Bytes burst;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const Bytes predict = encode_predict_request(make_input(80 + i), true);
+      burst.insert(burst.end(), predict.begin(), predict.end());
+    }
+    const Bytes metrics = encode_frame(MsgType::kMetricsRequest, {});
+    for (int i = 0; i < 200; ++i) {
+      burst.insert(burst.end(), metrics.begin(), metrics.end());
+    }
+    ASSERT_TRUE(write_all(doomed.fd(), burst.data(), burst.size()));
+    // Wait until the server has started answering, then reset the
+    // connection with replies still queued: linger {1, 0} turns close()
+    // into an RST.
+    pollfd p{doomed.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 5000), 1);
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(doomed.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+  }  // doomed closes here
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(health_within(net.server->port(), kReplyBound));
+  }
+  DcnClient client = DcnClient::connect(net.server->port());
+  EXPECT_LT(client.predict(make_input(90)), 4U);
+  EXPECT_EQ(net.server->stats().protocol_errors, 0U);
+  EXPECT_LT(timed_stop(*net.server, NetServer::kDrainDeadline + kReplyBound),
+            NetServer::kDrainDeadline);
 }
 
 }  // namespace

@@ -77,8 +77,8 @@
 //   mutex-hygiene           src/serve/net/ and src/obs/ only. (a) Blocking
 //                           calls (socket IO, poll/epoll, sleeps, joins) are
 //                           banned inside a lock_guard/unique_lock/scoped_lock
-//                           scope — the serving hot path must never hold the
-//                           writer-pool lock across anything that can stall.
+//                           scope — the serving hot path must never hold a
+//                           lock across anything that can stall.
 //                           (b) A std::atomic field whose name suggests a
 //                           seqlock version counter (contains `version` or
 //                           `seq`) must carry the word "seqlock" in a comment

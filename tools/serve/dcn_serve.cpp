@@ -51,7 +51,6 @@ void on_signal(int sig) { g_signal.store(sig); }
 struct Options {
   std::uint16_t port = 0;
   std::size_t shards = 1;
-  std::size_t writers = 2;
   std::size_t max_batch = 8;
   std::uint64_t max_delay_us = 2000;
   std::size_t queue_watermark = 64;
@@ -73,7 +72,6 @@ void usage() {
       "usage: dcn_serve [options]\n"
       "  --port N             listen port (0 = ephemeral; default 0)\n"
       "  --shards N           model replicas behind the router (default 1)\n"
-      "  --writers N          response writer threads (default 2)\n"
       "  --max-batch N        micro-batch flush-on-full size (default 8)\n"
       "  --max-delay-us N     micro-batch flush-on-timer bound (default 2000)\n"
       "  --queue-watermark N  shed above this total queued count (default 64)\n"
@@ -114,9 +112,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--shards") {
       if ((v = next("--shards")) == nullptr) return false;
       opt.shards = std::stoul(v);
-    } else if (arg == "--writers") {
-      if ((v = next("--writers")) == nullptr) return false;
-      opt.writers = std::stoul(v);
     } else if (arg == "--max-batch") {
       if ((v = next("--max-batch")) == nullptr) return false;
       opt.max_batch = std::stoul(v);
@@ -369,15 +364,14 @@ int main(int argc, char** argv) {
 
   serve::net::NetServerConfig net_cfg;
   net_cfg.port = opt.port;
-  net_cfg.writers = opt.writers;
   serve::net::NetServer server(router, net_cfg);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
   std::printf(
-      "dcn_serve: listening on port %u (shards=%zu writers=%zu max_batch=%zu "
+      "dcn_serve: listening on port %u (shards=%zu max_batch=%zu "
       "watermark=%zu ewma_threshold=%.2f)\n",
-      server.port(), opt.shards, opt.writers, opt.max_batch,
+      server.port(), opt.shards, opt.max_batch,
       opt.queue_watermark, opt.ewma_threshold);
   std::fflush(stdout);
 
